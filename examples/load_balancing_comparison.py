@@ -34,7 +34,7 @@ def main() -> None:
           f"{config.n_benchmark_clients} benchmark clients")
     result = compare_load_balancing(
         config, loads=(1.0, 1.3), seed=5,
-        execution=ExecutionConfig(backend="vector", shadow_backend="vector"),
+        execution=ExecutionConfig(shadow_backend="vector"),
     )
 
     print("\n-- Figure 8 analogue: weight accuracy --")

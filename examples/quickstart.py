@@ -47,7 +47,7 @@ def main() -> None:
         },
         seed=42,
     )
-    execution = ExecutionConfig(backend="vector")  # bit-identical on any backend
+    execution = ExecutionConfig(max_rounds=8)  # how to run it, not what
 
     # --- Run it, streaming per-round progress ----------------------------
     report = Campaign(scenario, execution).run(

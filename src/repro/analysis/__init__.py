@@ -1,10 +1,11 @@
 """Determinism & layering lint: the repo's bit-identity invariants, enforced.
 
-The whole architecture (PRs 2--9) rests on *bit-identity* across five
-kernel backends under fixed seeds, and on a handful of rules that
-guarantee it: no SIMD transcendentals in kernel paths, no wall-clock or
-ambient randomness in deterministic code, spans read clocks never RNGs,
-silent degradations must be counted and warned. Until this package,
+The whole architecture rests on *bit-identity* between the vectorized
+kernels and their stateful references under fixed seeds, and on a
+handful of rules that guarantee it: no SIMD transcendentals in kernel
+paths, no wall-clock or ambient randomness in deterministic code,
+spans read clocks never RNGs, silent degradations must be counted and
+warned. Until this package,
 those rules lived only in docstrings and reviewer memory -- and the
 PR 4/PR 6 ``np.exp`` trap plus two live ``os.urandom`` call sites show
 how reliably prose-only invariants decay.
@@ -42,7 +43,7 @@ FF005     layering                ``tornet``/``core``/``kernel`` never import
                                   ``api``/``service``/obs-exporters at
                                   module scope
 FF006     silent-degradation      a swallowed exception increments a metrics
-                                  counter or fires ``warn_once``
+                                  counter or emits a warning
 ========  ======================  ============================================
 
 Suppress a finding inline (the reason is mandatory; a reason-less

@@ -3,18 +3,15 @@
 **Invariant.** An ``except`` handler that falls back or continues (no
 ``raise`` anywhere in its body) must leave evidence: increment a metrics
 counter (``.inc(...)`` / ``.observe(...)`` on a registry instrument) or
-fire a one-shot ``warn_once``. A degradation that changes the execution
-strategy -- shm transport falling back to pickling, a worker pool
-rebuilding after a crash -- is bit-identical by design, but *silently*
-taking the slow path is how perf regressions and environment breakage
-hide for months.
+emit a warning / log record. A degradation that changes the execution
+strategy may be bit-identical by design, but *silently* taking the slow
+path is how perf regressions and environment breakage hide for months.
 
-**Provenance.** PR 7 established the contract for exactly those two
-cases: ``kernel.shm.fallbacks`` and ``kernel.pool.rebuilds`` each count
-the event *and* fire a ``DegradationWarning`` via ``warn_once``. This
-rule generalizes it to every handler that swallows. CLI ``__main__``
-modules are exempt: converting an exception into an error message and a
-nonzero exit *is* the evidence there.
+**Provenance.** The contract was first written for the kernel's former
+worker-pool and shared-memory fallbacks, which counted the event *and*
+warned. This rule generalizes it to every handler that swallows. CLI
+``__main__`` modules are exempt: converting an exception into an error
+message and a nonzero exit *is* the evidence there.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from typing import Iterator
 from repro.analysis.core import Finding, LintContext, register_rule
 
 #: Call names that count as "evidence" the degradation was recorded.
-WARN_CALLS = frozenset({"warn_once", "warn", "warning", "error", "exception"})
+WARN_CALLS = frozenset({"warn", "warning", "error", "exception"})
 
 #: Method names that record the event on a metrics instrument.
 METRIC_METHODS = frozenset({"inc", "observe", "set"})
@@ -48,7 +45,7 @@ def _handler_has_evidence(handler: ast.ExceptHandler) -> bool:
 
 @register_rule("FF006", "silent-degradation")
 def check_silent_degradation(ctx: LintContext) -> Iterator[Finding]:
-    """``except`` fallbacks with no counter increment and no ``warn_once``."""
+    """``except`` fallbacks with no counter increment and no warning."""
     if ctx.module.rsplit(".", 1)[-1] == "__main__":
         return  # CLI boundary: the error message + exit code is the evidence
     for node in ast.walk(ctx.tree):
@@ -63,7 +60,6 @@ def check_silent_degradation(ctx: LintContext) -> Iterator[Finding]:
                 yield ctx.finding(
                     handler, "FF006",
                     f"`except {caught}` falls back silently: no re-raise, "
-                    "no metrics counter, no warn_once -- degradations must "
-                    "leave evidence (the PR 7 shm-fallback/pool-rebuild "
-                    "contract)",
+                    "no metrics counter, no warning -- degradations must "
+                    "leave evidence",
                 )

@@ -5,8 +5,8 @@ Every FlashFlow workload is described and run the same way::
     from repro.api import Campaign, ExecutionConfig, Scenario
 
     report = Campaign(
-        Scenario(),                       # what to measure
-        ExecutionConfig(backend="vector"),  # how to run it
+        Scenario(),                          # what to measure
+        ExecutionConfig(max_rounds=8),       # how to run it
     ).run()
     print(report.median_error_vs_truth())
 
@@ -16,8 +16,8 @@ or, for the canned paper scenarios::
     report = run_scenario("fig06-accuracy", n_relays=6)
 
 Layering (see ROADMAP.md): ``Scenario`` (network / team / adversaries /
-background / priors / params) and ``ExecutionConfig`` (backend /
-workers / simulation depth) feed a ``Campaign``, which streams
+background / priors / params) and ``ExecutionConfig`` (simulation
+depth / retry budget / tracing) feed a ``Campaign``, which streams
 per-round events to observers and drives
 :class:`repro.core.engine.MeasurementEngine` and the vectorized
 :mod:`repro.kernel` beneath it. The legacy entry points
@@ -107,10 +107,9 @@ def compare_load_balancing(
 
     Thin wrapper over :func:`repro.shadow.experiment.compare_systems`
     (whose measurement phase already runs through a
-    :class:`Campaign`); ``execution`` selects the kernel backend and
-    worker count for the FlashFlow measurement phase plus the shadow
-    flow-simulator backend (``execution.shadow_backend``) for the
-    TorFlow warmups and performance runs. Returns the
+    :class:`Campaign`); ``execution.shadow_backend`` selects the shadow
+    flow-simulator backend for the TorFlow warmups and performance
+    runs. Returns the
     :class:`repro.shadow.experiment.ExperimentResult`.
     """
     from repro.shadow.experiment import compare_systems
@@ -121,7 +120,5 @@ def compare_load_balancing(
         loads=tuple(loads),
         seed=seed,
         run_performance=run_performance,
-        measurement_backend=execution.backend,
-        measurement_workers=execution.max_workers,
         shadow_backend=execution.shadow_backend,
     )

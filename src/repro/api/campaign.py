@@ -2,28 +2,18 @@
 
 This module owns the canonical FlashFlow campaign loop (formerly the
 body of :func:`repro.core.netmeasure.measure_network`, which is now a
-thin deprecation shim over it). Each campaign *round* packs every
+thin shim over it). Each campaign *round* packs every
 waiting relay into consecutive t-second slots greedily (largest first,
 the paper's efficiency scheduler); the round's measurements execute
-concurrently through :class:`repro.core.engine.MeasurementEngine.\
+as one batch through :class:`repro.core.engine.MeasurementEngine.\
 run_many`, which lowers them onto the vectorized kernel
-(:mod:`repro.kernel`) -- with ``ExecutionConfig(pipeline=)`` the
-stateful compile stream overlaps worker execution inside each round --
-while ``full_simulation=False`` rounds run whole-round analytic
-estimates through :mod:`repro.kernel.analytic`; outcomes fold back in
-deterministic slot order and inconclusive relays re-enter the next
-round with a doubled estimate. Retries are round-granular (see the
-shim's docstring for the history); for a fixed worker count the whole
-campaign is deterministic, and estimates are bit-identical on every
-backend, pipelined or not.
-
-Round-to-round lookahead is deliberately *not* pipelined: round N+1's
-jobs are exactly round N's retries, and compiling a retry consumes the
-relay's jitter stream and token-bucket snapshot *after* round N's walk
-settles back onto it -- so cross-round speculative compilation cannot
-be bit-identical. The pipeline's lookahead is therefore bounded to one
-round: within round N, measurement k+chunk compiles while measurements
-<= k execute in the worker pool.
+(:mod:`repro.kernel`), while ``full_simulation=False`` rounds run
+whole-round analytic estimates through :mod:`repro.kernel.analytic`;
+outcomes fold back in deterministic slot order and inconclusive relays
+re-enter the next round with a doubled estimate. Retries are
+round-granular (see the shim's docstring for the history), and the
+whole campaign is deterministic: estimates are bit-identical to the
+stateful reference loop.
 
 :class:`Campaign` adds streaming on top: :meth:`Campaign.iter_rounds`
 yields :mod:`repro.api.events` as rounds plan and complete, and
@@ -156,8 +146,8 @@ def run_period_rounds(
         ) as round_span:
             # --- Pack the whole waiting queue into consecutive slots --
             # Every queued relay is independent of the others' outcomes,
-            # so a round's slots can all be planned up front and run
-            # concurrently.
+            # so a round's slots can all be planned up front and run as
+            # one batch.
             with tracer.span("round.pack"):
                 first_slot = slot_index
                 jobs: list[_Job] = []
@@ -243,27 +233,15 @@ def run_period_rounds(
                     )
                     for job in jobs
                 ]
-                outcomes = engine.run_many(
-                    specs,
-                    max_workers=execution.max_workers,
-                    backend=execution.backend,
-                    pipeline=execution.pipeline,
-                    shards=execution.shards,
-                )
+                outcomes = engine.run_many(specs)
                 results = [
                     (o.estimate, o.failed, o.failure_reason, o.cells_checked)
                     for o in outcomes
                 ]
             else:
                 # The analytic kernel walks the whole round as one array
-                # op (estimates + accept decisions); ``serial`` keeps the
-                # historical scalar analytic_estimate loop and leaves the
-                # decisions to the fold below. Bit-identical either way.
-                analytic = run_analytic_round(
-                    engine, jobs, params,
-                    backend=execution.backend,
-                    shards=execution.shards,
-                )
+                # op (estimates + accept decisions).
+                analytic = run_analytic_round(engine, jobs, params)
                 results = [(z, False, None, 0) for z in analytic.estimates]
                 accepted = analytic.accepted
 
@@ -363,8 +341,9 @@ class Campaign:
     >>> report = Campaign(Scenario(), ExecutionConfig()).run()
 
     ``engine`` overrides the authority's shared
-    :class:`MeasurementEngine` (benches use this to re-time historical
-    execution paths); almost all callers leave it None.
+    :class:`MeasurementEngine` (e.g. one with other circuit-key
+    settings, or a stateful reference engine in tests); almost all
+    callers leave it None.
     """
 
     def __init__(
@@ -409,10 +388,8 @@ class Campaign:
         manifest = run_manifest(
             scenario_name=scenario.name,
             seed=scenario.seed,
-            backend=execution.backend,
+            backend="vector",
             shadow_backend=execution.shadow_backend,
-            shards=execution.shards,
-            pipeline=execution.pipeline,
             full_simulation=execution.full_simulation,
             periods=scenario.periods,
             max_rounds=execution.max_rounds,
@@ -432,7 +409,6 @@ class Campaign:
         campaign_span = tracer.span(
             "campaign",
             scenario=scenario.name,
-            backend=execution.backend,
             periods=scenario.periods,
             full_simulation=execution.full_simulation,
         )
@@ -462,7 +438,6 @@ class Campaign:
             n_measurers=len(authority.team),
             team_capacity=authority.team_capacity(),
             periods=scenario.periods,
-            backend=execution.backend,
         )
 
         rounds: list[RoundRecord] = []

@@ -1,47 +1,34 @@
 """How a campaign is executed, separated from what it measures.
 
 :class:`ExecutionConfig` collects every knob that affects *how* a
-campaign runs -- kernel backend, worker count, full vs analytic
-simulation, retry budget -- and none that affect *what* is measured
-(that is :class:`repro.api.scenario.Scenario`). The same scenario run
-under any execution config produces bit-identical estimates; execution
-only selects scheduling and the level of per-second detail.
+campaign runs -- full vs analytic simulation, retry budget, the shadow
+flow-simulator backend, tracing -- and none that affect *what* is
+measured (that is :class:`repro.api.scenario.Scenario`).
 
 This replaces the loose kwarg tail ``measure_network(...,
-full_simulation=, max_rounds=, analytic_error_std=, max_workers=,
-backend=)`` with one validated, frozen object that threads cleanly down
-to :class:`repro.core.engine.MeasurementEngine` and
-:mod:`repro.kernel`.
+full_simulation=, max_rounds=, analytic_error_std=)`` with one
+validated, frozen object that threads cleanly down to
+:class:`repro.core.engine.MeasurementEngine` and :mod:`repro.kernel`.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from repro.errors import ConfigurationError
-
-#: Backend names the kernel registry ships with; ``None`` defers to
-#: ``FlashFlowParams.kernel_backend`` / ``FLASHFLOW_KERNEL_BACKEND`` /
-#: ``auto``. Third-party backends registered via
-#: :func:`repro.kernel.register_backend` are also accepted.
-KNOWN_BACKENDS = ("serial", "thread", "process", "vector", "analytic", "auto")
 
 
 @dataclass(frozen=True)
 class ExecutionConfig:
     """Execution policy for one campaign run.
 
-    Every field is semantics-preserving: estimates are bit-identical
-    for any ``backend``/``max_workers`` choice, and ``full_simulation``
-    switches between the per-second traffic walk and the engine's
-    analytic accept/retry model (used by scheduling-efficiency studies
-    where only slot accounting matters).
+    ``full_simulation`` switches between the per-second traffic walk and
+    the engine's analytic accept/retry model (used by
+    scheduling-efficiency studies where only slot accounting matters);
+    ``shadow_backend`` and ``trace`` never change results.
     """
 
-    #: Kernel execution backend (:mod:`repro.kernel.backends`). ``None``
-    #: defers to params/environment, then ``auto``.
-    backend: str | None = None
     #: Shadow flow-simulator backend (:mod:`repro.shadow.flows`) for
     #: workloads that run the flow-level simulator (the §7 comparison
     #: pipeline; see ``repro.shadow.experiment.compare_systems``).
@@ -49,8 +36,6 @@ class ExecutionConfig:
     #: but never consult it. ``None`` defers to the
     #: ``FLASHFLOW_SHADOW_BACKEND`` environment variable, then ``auto``.
     shadow_backend: str | None = None
-    #: Engine worker-count cap (``None`` = engine default, ``1`` = serial).
-    max_workers: int | None = None
     #: Per-second traffic simulation (True) vs the analytic fast path.
     full_simulation: bool = True
     #: Maximum measurement attempts per relay before "did not converge".
@@ -59,24 +44,6 @@ class ExecutionConfig:
     max_rounds: int = 8
     #: Std-dev of the analytic path's pre-drawn measurement-error factor.
     analytic_error_std: float = 0.02
-    #: Pipelined rounds: overlap each round's stateful compile stream
-    #: with worker execution (:func:`repro.kernel.run_specs`). ``None``
-    #: (auto, the default) enables it wherever the backend has a pool to
-    #: overlap with (``thread``/``process``) and stays off under
-    #: ``serial``/``vector`` -- so ``serial`` keeps its one-at-a-time
-    #: debugging granularity. ``True`` forces the request (still a
-    #: no-op on pool-less backends), ``False`` disables it. Events,
-    #: estimates, and reports are bit-identical either way.
-    pipeline: bool | None = None
-    #: Campaign sharding: partition each round's packed slots into this
-    #: many contiguous, balanced parts and hand the partition to the
-    #: backend as its chunk boundaries (one shard per worker task on
-    #: pool backends; in-process backends walk the shards in order).
-    #: Results merge back in slot order, so events, estimates, and
-    #: reports are bit-identical to an unsharded run. ``None`` (the
-    #: default) leaves chunking to the backend; sharding prescribes the
-    #: chunk boundaries, so ``pipeline`` is ignored when set.
-    shards: int | None = None
     #: Path for a ``flashflow-trace/1`` JSONL trace of the run
     #: (:mod:`repro.obs`): manifest line, hierarchical campaign/round/
     #: kernel spans with wall+CPU time, and a metrics snapshot, written
@@ -88,19 +55,6 @@ class ExecutionConfig:
     trace: str | None = None
 
     def __post_init__(self) -> None:
-        if self.backend is not None:
-            if not isinstance(self.backend, str) or not self.backend:
-                raise ConfigurationError(
-                    "backend must be a kernel backend name or None"
-                )
-            from repro.kernel import backend_names
-
-            known = set(KNOWN_BACKENDS) | set(backend_names())
-            if self.backend not in known:
-                raise ConfigurationError(
-                    f"unknown kernel backend {self.backend!r}; "
-                    f"known: {sorted(known)}"
-                )
         if self.shadow_backend is not None:
             if not isinstance(self.shadow_backend, str) or not self.shadow_backend:
                 raise ConfigurationError(
@@ -114,21 +68,10 @@ class ExecutionConfig:
                     f"unknown shadow backend {self.shadow_backend!r}; "
                     f"known: {sorted(known)}"
                 )
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ConfigurationError("max_workers must be >= 1 or None")
         if self.max_rounds < 1:
             raise ConfigurationError("max_rounds must be >= 1")
         if self.analytic_error_std < 0:
             raise ConfigurationError("analytic_error_std must be >= 0")
-        if self.pipeline is not None and not isinstance(self.pipeline, bool):
-            raise ConfigurationError(
-                "pipeline must be True, False, or None (auto)"
-            )
-        if self.shards is not None:
-            if isinstance(self.shards, bool) or not isinstance(self.shards, int):
-                raise ConfigurationError("shards must be an integer or None")
-            if self.shards < 1:
-                raise ConfigurationError("shards must be >= 1 or None")
         if self.trace is not None and not isinstance(
             self.trace, (str, os.PathLike)
         ):
@@ -136,9 +79,23 @@ class ExecutionConfig:
                 "trace must be a path for the JSONL trace file or None"
             )
 
-    def with_backend(self, backend: str | None) -> "ExecutionConfig":
-        """A copy of this config on a different kernel backend."""
-        return replace(self, backend=backend)
+    @classmethod
+    def from_dict(cls, record: dict) -> "ExecutionConfig":
+        """Rebuild a config from its ``asdict`` form (journal snapshots).
+
+        Unknown keys -- e.g. the retired ``backend``/``max_workers``/
+        ``pipeline``/``shards`` knobs an older journal may carry -- raise
+        a :class:`ConfigurationError` naming them instead of a raw
+        ``TypeError`` from the constructor.
+        """
+        known = {f.name for f in fields(cls)}
+        unknown = sorted(set(record) - known)
+        if unknown:
+            raise ConfigurationError(
+                f"unknown execution config key(s) {', '.join(unknown)}; "
+                f"known: {', '.join(sorted(known))}"
+            )
+        return cls(**record)
 
     def with_shadow_backend(self, shadow_backend: str | None) -> "ExecutionConfig":
         """A copy of this config on a different shadow flow backend."""

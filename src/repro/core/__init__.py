@@ -13,9 +13,9 @@ Public API highlights:
 
 - :class:`FlashFlowParams` -- all protocol parameters with paper defaults,
 - :class:`Measurer` / :func:`allocate_capacity` -- team modelling,
-- :class:`MeasurementEngine` -- the batched, parallel execution core
-  (precomputed per-assignment invariants, ``run_many`` concurrency, the
-  analytic fast path),
+- :class:`MeasurementEngine` -- the batched execution core
+  (precomputed per-assignment invariants, ``run_many`` batches through
+  the vectorized kernel, the analytic fast path),
 - :func:`run_measurement` -- one authenticated measurement slot,
 - :class:`FlashFlowAuthority` -- the BWAuth measurement loop (old/new
   relays, retry-with-doubling),

@@ -134,7 +134,7 @@ class Deployment:
         """Measure every relay currently in ``network`` once.
 
         Thin wrapper over the scenario API: for streamed events or
-        execution knobs (kernel backend, worker cap), run a
+        execution knobs (retry budget, tracing), run a
         ``Scenario(periods=N)`` through :class:`repro.api.Campaign`
         instead -- results are bit-identical.
         """

@@ -1,4 +1,4 @@
-"""The batched, parallel measurement engine (paper §4.1, §4.3, §7).
+"""The batched measurement engine (paper §4.1, §4.3, §7).
 
 This module is the execution core behind every simulated FlashFlow
 measurement. The original hot path re-derived per-socket TCP caps and
@@ -17,16 +17,16 @@ splits a measurement into
 
 Both phases consume the measurement's forked RNG stream
 (:func:`repro.rng.fork`) in exactly the order the historical serial loop
-did, so estimates are bit-identical to pre-engine results, and
-:meth:`MeasurementEngine.run_many` can execute independent measurements
-concurrently with any worker count while producing the same bits as
-serial execution. Batches of independent specs are lowered by
-:mod:`repro.kernel` into picklable compiled measurements whose honest-
-relay per-second walk runs as numpy array arithmetic on a pluggable
-backend (``serial``/``thread``/``process``/``vector``); the stateful
-per-second path below (:meth:`MeasurementEngine.execute`) remains the
-reference semantics and the fallback for adversarial relay behaviours
-and transcript sessions.
+did, so estimates are bit-identical to pre-engine results. The stateful
+per-second path below (:meth:`MeasurementEngine.execute`) is the
+reference semantics. :meth:`MeasurementEngine.run_many` lowers batches
+of independent specs through :mod:`repro.kernel` into compiled
+measurements whose per-second walk -- honest relays and the compiled §5
+adversary behaviours alike -- runs as one vectorized numpy array walk,
+bit-identical to the stateful path. Only specs the kernel cannot
+compile (cross-relay collusion, custom stateful behaviours, transcript
+sessions, verified specs on an engine without circuit-key reuse) and
+rounds that measure one relay more than once run statefully.
 
 The engine also hosts the **analytic fast path**
 (:meth:`MeasurementEngine.analytic_estimate`) used by campaign code that
@@ -56,7 +56,6 @@ from repro.rng import fork
 from repro.tornet.relay import Relay
 from repro.tornet.relaycrypto import CircuitKey, establish_circuit_key
 from repro.units import bits_to_bytes
-from repro.workers import default_worker_count
 
 #: Median Internet RTT used when no explicit topology is given
 #: (the tmodel dataset median the paper cites in Appendix D).
@@ -160,9 +159,9 @@ def assignment_caps(
     min(a_i, TCP ramp cap * sockets * quality, link) * socket efficiency
     -- everything about the assignment that does not change with the
     per-second noise draw. Pure (no RNG, no shared state): the kernel
-    backends recompute it from picklable inputs in worker processes, and
-    :meth:`MeasurementEngine.prepare` uses the same code in-process, so
-    both paths produce bit-identical caps.
+    compiler recomputes it from the compiled inputs and
+    :meth:`MeasurementEngine.prepare` uses the same code, so both paths
+    produce bit-identical caps.
     """
     ramp = tcp_ramp_profile(path, sender_kernel, target_kernel, duration)
     return [
@@ -197,7 +196,7 @@ class MeasurementSpec:
 
     A spec is a pure description: building one draws no randomness and
     touches no shared state, so lists of specs can be handed to
-    :meth:`MeasurementEngine.run_many` for concurrent execution. Fields
+    :meth:`MeasurementEngine.run_many` for batched execution. Fields
     left ``None`` fall back to the engine's defaults.
     """
 
@@ -239,8 +238,8 @@ class _PlanInputs:
     Everything that must be resolved *in order* on the measurement's
     forked RNG stream (environment factor, per-assignment path
     qualities) plus the admission decision -- and nothing that is pure
-    computation. The kernel compiler consumes these directly so the
-    heavy pure half (TCP ramp profiles) can run in worker processes.
+    computation. The kernel compiler consumes these directly and runs
+    the heavy pure half (TCP ramp profiles) itself.
     """
 
     spec: MeasurementSpec
@@ -294,7 +293,7 @@ class _Plan:
 
 
 class MeasurementEngine:
-    """Prepares and executes measurement slots, serially or in parallel.
+    """Prepares and executes measurement slots, one at a time or in batches.
 
     One engine instance is safe to share across threads: per-measurement
     state lives in the plan, and the only shared mutable is the lazily
@@ -308,14 +307,12 @@ class MeasurementEngine:
         network: NetworkModel | None = None,
         noise: MeasurementNoise | None = None,
         default_rtt: float = DEFAULT_RTT_SECONDS,
-        max_workers: int | None = None,
         reuse_circuit_keys: bool = True,
     ):
         self.params = params
         self.network = network
         self.noise = noise
         self.default_rtt = default_rtt
-        self.max_workers = max_workers
         self.reuse_circuit_keys = reuse_circuit_keys
         self._shared_key: CircuitKey | None = None
         self._key_lock = threading.Lock()
@@ -350,8 +347,8 @@ class MeasurementEngine:
         RNG draws happen in the exact order of the historical serial
         loop's setup phase: environment factor first, then one path
         quality per participating assignment. No pure computation (TCP
-        ramps) happens here -- that is :meth:`finish_plan` (in-process)
-        or a kernel backend (possibly in a worker process).
+        ramps) happens here -- that is :meth:`finish_plan` or the kernel
+        compiler.
         """
         params = spec.params or self.params or FlashFlowParams()
         noise = spec.noise or self.noise or MeasurementNoise()
@@ -613,51 +610,27 @@ class MeasurementEngine:
         return self.execute(self.prepare(spec))
 
     def run_many(
-        self,
-        specs: Sequence[MeasurementSpec],
-        max_workers: int | None = None,
-        backend: str | None = None,
-        pipeline: bool | None = False,
-        shards: int | None = None,
+        self, specs: Sequence[MeasurementSpec]
     ) -> list[MeasurementOutcome]:
         """Run independent measurements through the kernel.
 
         Every spec's randomness comes from its own forked stream (seed +
         per-measurement label) and every stateful object (target relay,
-        verifier) is per-spec, so any backend and worker count --
-        including 1 -- produces bit-identical outcomes in spec order.
+        verifier) is per-spec, so the batch produces outcomes in spec
+        order bit-identical to calling :meth:`run` on each spec.
 
-        Specs are lowered to picklable :class:`repro.kernel.compile.\
-CompiledMeasurement` objects and executed by a kernel backend
-        (``serial``/``thread``/``process``/``vector``; see
-        :mod:`repro.kernel.backends`). ``backend`` overrides the
-        ``FlashFlowParams.kernel_backend`` / ``FLASHFLOW_KERNEL_BACKEND``
-        selection. Specs the kernel cannot compile (adversarial relay
-        behaviours, transcript sessions) run on the stateful
-        :meth:`run` path, still in deterministic spec order.
+        Specs are lowered to :class:`repro.kernel.compile.\
+CompiledMeasurement` objects and executed as one vectorized walk
+        (:func:`repro.kernel.run_specs`). Specs the kernel cannot
+        compile (cross-relay or custom stateful behaviours, transcript
+        sessions) run on the stateful :meth:`run` path, still in
+        deterministic spec order.
 
-        Specs sharing a target relay fall back to serial stateful
-        execution entirely: the relay's token bucket and RNG are stateful
-        and draw in slot order.
-
-        ``pipeline`` overlaps the (stateful, main-thread) compile stream
-        with worker execution on pool backends: ``True`` requests it,
-        ``None`` enables it automatically where the backend supports
-        streaming (``thread``/``process``), ``False`` (the default here)
-        keeps the historical compile-everything-then-execute batch.
-        Results are bit-identical either way -- compiled execution is
-        pure, so only scheduling changes.
-
-        ``shards`` partitions the compiled round into contiguous,
-        balanced parts handed to the backend as its chunk boundaries
-        (``ExecutionConfig(shards=)`` forwards here); the merge order is
-        deterministic, so results stay bit-identical to unsharded runs.
+        Specs sharing a target relay fall back to stateful execution
+        entirely: the relay's token bucket and RNG are stateful and
+        draw in slot order.
         """
         specs = list(specs)
-        if max_workers is None:
-            max_workers = self.max_workers
-        if max_workers is None:
-            max_workers = default_worker_count()
         distinct_targets = len({id(s.target) for s in specs})
         if len(specs) <= 1 or distinct_targets < len(specs):
             from repro.obs.metrics import get_registry
@@ -672,14 +645,7 @@ CompiledMeasurement` objects and executed by a kernel backend
                 return [self.run(spec) for spec in specs]
         from repro.kernel import run_specs
 
-        return run_specs(
-            self,
-            specs,
-            backend=backend,
-            max_workers=max_workers,
-            pipeline=pipeline,
-            shards=shards,
-        )
+        return run_specs(self, specs)
 
     # ------------------------------------------------------------------
     # Analytic fast path (subsumes the old full_simulation=False branch)

@@ -4,7 +4,7 @@ The campaign loop itself lives in :mod:`repro.api.campaign` (the
 scenario-driven front door): each campaign *round* packs every waiting
 relay into consecutive t-second slots greedily (largest first, the
 paper's efficiency scheduler); all measurements of the round are
-executed concurrently by the :class:`repro.core.engine.\
+executed as one batch by the :class:`repro.core.engine.\
 MeasurementEngine` (``run_many``), which lowers the round onto the
 vectorized measurement kernel (:mod:`repro.kernel`). Outcomes fold
 back in deterministic slot order; inconclusive relays re-enter the
@@ -14,25 +14,24 @@ Retries are *round-granular*: an inconclusive relay is re-measured
 after the current round's remaining slots rather than squeezed into the
 next slot's residual capacity (the pre-engine serial loop's behaviour).
 This is what makes a round's slots mutually independent and
-concurrently executable; the cost is that a campaign with retries may
+executable as one batch; the cost is that a campaign with retries may
 occupy a few more slots, and per-measurement seeds (slot-index derived)
 shift for retried relays. Estimates remain draws from the same
-distribution, and for a fixed worker count the whole campaign is
-deterministic.
+distribution, and the whole campaign is deterministic.
 
-:func:`measure_network` remains as a thin deprecation shim with the
-historical signature -- bit-identical results, loose execution kwargs
-deprecated in favour of :class:`repro.api.ExecutionConfig`.
+:func:`measure_network` remains as a thin shim with the historical
+signature and bit-identical results; new code describes the workload
+with :class:`repro.api.Scenario` and runs it via
+:class:`repro.api.Campaign`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.bwauth import FlashFlowAuthority
-from repro.core.engine import MeasurementEngine, MeasurementNoise
+from repro.core.engine import MeasurementNoise
 from repro.errors import ConfigurationError
 from repro.tornet.network import TorNetwork
 
@@ -110,36 +109,20 @@ def measure_network(
     full_simulation: bool = True,
     noise: MeasurementNoise | None = None,
     analytic_error_std: float = 0.02,
-    max_workers: int | None = None,
-    engine: MeasurementEngine | None = None,
-    backend: str | None = None,
 ) -> CampaignResult:
     """Measure every relay in ``network`` once (one measurement period).
 
-    .. deprecated::
-        This is a compatibility shim over :class:`repro.api.Campaign`
-        (results are bit-identical). Passing the loose execution kwargs
-        ``max_workers=``/``backend=``/``engine=`` here emits a
-        :class:`DeprecationWarning`; use ``Campaign(Scenario(...),
-        ExecutionConfig(...))`` instead.
+    A compatibility shim over :class:`repro.api.Campaign` (results are
+    bit-identical); new code uses ``Campaign(Scenario(...),
+    ExecutionConfig(...))``.
 
     ``prior_estimates`` supplies z0 for old relays (fingerprint ->
     bit/s); relays absent from it are treated as new and seeded from
     ``params.new_relay_seed``. Old relays are scheduled before new ones
     (paper §4.3 priority). ``background_demand`` may be a constant, a
     callable of time, or a per-fingerprint dict (see
-    :func:`normalize_background_demand`). Estimates are identical for
-    every backend and worker count.
+    :func:`normalize_background_demand`).
     """
-    if backend is not None or max_workers is not None or engine is not None:
-        warnings.warn(
-            "measure_network(..., backend=, max_workers=, engine=) is "
-            "deprecated; describe the workload with repro.api.Scenario "
-            "and the execution policy with repro.api.ExecutionConfig, "
-            "then run it via repro.api.Campaign",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     report = run_campaign(
         network,
         authority,
@@ -149,9 +132,6 @@ def measure_network(
         full_simulation=full_simulation,
         noise=noise,
         analytic_error_std=analytic_error_std,
-        max_workers=max_workers,
-        engine=engine,
-        backend=backend,
     )
     return report.result
 
@@ -165,9 +145,6 @@ def run_campaign(
     full_simulation: bool = True,
     noise: MeasurementNoise | None = None,
     analytic_error_std: float = 0.02,
-    max_workers: int | None = None,
-    engine: MeasurementEngine | None = None,
-    backend: str | None = None,
 ) -> "CampaignReport":
     """One-period campaign over existing objects, through the API.
 
@@ -189,10 +166,8 @@ def run_campaign(
         noise=noise,
     )
     execution = ExecutionConfig(
-        backend=backend,
-        max_workers=max_workers,
         full_simulation=full_simulation,
         max_rounds=max_rounds,
         analytic_error_std=analytic_error_std,
     )
-    return Campaign(scenario, execution, engine=engine).run()
+    return Campaign(scenario, execution).run()

@@ -47,13 +47,6 @@ class FlashFlowParams:
     #: measured capacity over the past month (§4.2); the paper's July 2019
     #: value was 51 Mbit/s.
     new_relay_seed: float = mbit(51)
-    #: Execution backend for batched measurement runs
-    #: (:mod:`repro.kernel.backends`): ``"serial"``, ``"thread"``,
-    #: ``"process"``, ``"vector"``, or ``"auto"``. ``None`` defers to the
-    #: ``FLASHFLOW_KERNEL_BACKEND`` environment variable, then ``auto``
-    #: (the vectorized in-process walk). Every backend produces
-    #: bit-identical estimates; this only selects how the work is run.
-    kernel_backend: str | None = None
 
     def __post_init__(self) -> None:
         if self.n_sockets <= 0:
@@ -72,12 +65,6 @@ class FlashFlowParams:
             raise ConfigurationError("p_check must be a probability")
         if self.period_seconds < self.slot_seconds:
             raise ConfigurationError("period must hold at least one slot")
-        if self.kernel_backend is not None and (
-            not isinstance(self.kernel_backend, str) or not self.kernel_backend
-        ):
-            raise ConfigurationError(
-                "kernel_backend must be a backend name or None"
-            )
 
     @property
     def allocation_factor(self) -> float:

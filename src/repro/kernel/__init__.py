@@ -1,17 +1,22 @@
-"""The vectorized measurement kernel (compile -> supply -> backends).
+"""The vectorized measurement kernel (compile -> supply -> settle).
 
 This package is the execution layer beneath
 :meth:`repro.core.engine.MeasurementEngine.run_many`:
 
 - :mod:`repro.kernel.compile` lowers a measurement spec plus the
-  engine's prepared inputs into a picklable
+  engine's prepared inputs into a self-contained
   :class:`~repro.kernel.compile.CompiledMeasurement` -- all RNG draws
   performed up front in stateful order, everything else pure;
-- :mod:`repro.kernel.supply` executes compiled measurements as
-  vectorized numpy array walks, bit-identical to the stateful
-  :meth:`Relay.measured_second` path;
-- :mod:`repro.kernel.backends` schedules the walks on a pluggable
-  backend (``serial``/``thread``/``process``/``vector``).
+- :mod:`repro.kernel.supply` executes a whole round of compiled
+  measurements as one vectorized numpy array walk
+  (:func:`~repro.kernel.supply.execute_batch`), bit-identical to the
+  stateful :meth:`Relay.measured_second` path;
+- :func:`run_specs` drives one round: predraw jitter, compile, run the
+  fallbacks, execute the batch, settle relay state back.
+
+There is one execution path: the in-process vectorized walk. The
+stateful :meth:`MeasurementEngine.run` is the reference semantics it is
+tested against, not an alternative way to run it.
 
 Relay behaviours compile through
 :meth:`repro.tornet.relay.RelayBehavior.kernel_program`: the honest
@@ -22,15 +27,9 @@ cross-relay :class:`repro.attacks.CollusionBehavior`) and transcript
 sessions -- fall back to the engine's stateful ``run`` path, preserving
 exact semantics for every spec.
 
-Two more execution modes live here:
-
-- :mod:`repro.kernel.analytic` lowers whole rounds of the engine's
-  closed-form ``analytic_estimate`` (the ``full_simulation=False``
-  campaign path) into one array walk, registered under the ``analytic``
-  backend name;
-- pipelined rounds (``run_specs(pipeline=...)``) overlap the stateful
-  compile stream with worker execution on pool backends, bit-identical
-  to the batch path.
+:mod:`repro.kernel.analytic` lowers whole rounds of the engine's
+closed-form ``analytic_estimate`` (the ``full_simulation=False``
+campaign path) into one array walk the same way.
 """
 
 from __future__ import annotations
@@ -44,44 +43,27 @@ from repro.kernel.analytic import (
     execute_analytic_round,
     run_analytic_round,
 )
-from repro.kernel.backends import (
-    BACKEND_ENV_VAR,
-    KernelBackend,
-    KernelStream,
-    backend_names,
-    get_backend,
-    register_backend,
-    resolve_backend_name,
-)
 from repro.kernel.compile import (
     CompiledAssignment,
     CompiledMeasurement,
     compile_measurement,
     is_compilable,
 )
-from repro.kernel.supply import KernelResult, execute_batch, execute_compiled
+from repro.kernel.supply import KernelResult, execute_batch
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "AnalyticRoundResult",
     "CompiledAnalyticRound",
     "CompiledAssignment",
     "CompiledMeasurement",
-    "KernelBackend",
     "KernelResult",
-    "KernelStream",
-    "backend_names",
     "compile_analytic_round",
     "compile_measurement",
     "execute_analytic_round",
     "execute_batch",
-    "execute_compiled",
-    "get_backend",
     "is_compilable",
-    "register_backend",
-    "resolve_backend_name",
     "run_analytic_round",
     "run_specs",
 ]
@@ -128,55 +110,16 @@ def _predraw_noise(engine, specs) -> dict:
     return rows
 
 
-def run_specs(
-    engine,
-    specs: Sequence,
-    backend: str | None = None,
-    max_workers: int | None = None,
-    pipeline: bool | None = False,
-    shards: int | None = None,
-):
+def run_specs(engine, specs: Sequence):
     """Run independent measurement specs through the kernel.
 
     Compiles every compilable spec (in spec order -- compilation consumes
     relay RNG/admission state exactly where the stateful path would),
-    executes the compiled batch on the selected backend, runs the
-    fallback specs on the engine's stateful path, settles relay state
-    deltas, and returns outcomes in spec order.
-
-    The backend is a batch-level choice: the explicit ``backend``
-    argument, else the *first* spec's params (``kernel_backend`` on
-    later specs in a mixed batch is not consulted), else the engine's
-    params, the environment, and finally ``auto``. Results are
-    bit-identical for every backend, so this only selects scheduling.
-
-    ``pipeline`` (``True``, or ``None`` for auto) overlaps compilation
-    with execution on backends that expose a worker pool
-    (``thread``/``process``): compilation still happens one spec at a
-    time in the calling thread, in spec order -- the stateful draws are
-    untouched -- but finished chunks are submitted to the pool
-    immediately, so workers execute the round's head while its tail is
-    still compiling, and the stateful fallback specs run on the calling
-    thread while the last chunks drain. Compiled execution is pure and
-    settlement still happens here, in spec order, so the pipelined round
-    is bit-identical to the batch path. Backends with no pool to overlap
-    with (``serial``/``vector``/``analytic``) ignore the flag.
-
-    ``shards`` partitions the compiled batch into that many contiguous,
-    balanced parts and hands the partition to the backend as its chunk
-    boundaries (worker pools execute one shard per task; in-process
-    backends walk the shards in order). Results are merged back in spec
-    order, so the sharded round is bit-identical to the unsharded one.
-    Sharding prescribes chunk boundaries, so it takes the batch path
-    (``pipeline`` is ignored when ``shards`` is set).
+    runs the fallback specs on the engine's stateful path, executes the
+    compiled batch as one vectorized walk, settles relay state deltas,
+    and returns outcomes in spec order.
     """
     specs = list(specs)
-    first_params = (specs[0].params or engine.params) if specs else None
-    name = resolve_backend_name(
-        backend,
-        first_params.kernel_backend if first_params is not None else None,
-    )
-    backend_obj = get_backend(name)
     tracer = get_tracer()
     registry = get_registry()
 
@@ -189,72 +132,25 @@ def run_specs(
     # positions -- see repro.tornet.columnar.noise_row).
     predrawn = _predraw_noise(engine, specs) if specs else {}
 
-    stream = (
-        backend_obj.open_stream(len(specs), max_workers)
-        if (pipeline or pipeline is None) and shards is None
-        else None
-    )
-    if stream is not None:
-        try:
-            # Pipelined: the compile span covers the feed loop, so its
-            # wall time includes the stream.add submissions that overlap
-            # with worker execution (drain time shows up separately).
-            with tracer.span(
-                "round.compile",
-                backend=name, n_specs=len(specs), pipeline=True,
-            ):
-                for index, spec in enumerate(specs):
-                    cm = compile_measurement(
-                        engine, spec, index=index,
-                        predrawn_noise=predrawn.get(index),
-                    )
-                    if cm is None:
-                        fallback_indices.append(index)
-                    else:
-                        stream.add(cm)
-            # Stateful fallbacks run here while workers drain the tail.
-            if fallback_indices:
-                with tracer.span(
-                    "round.fallback", n_specs=len(fallback_indices)
-                ):
-                    for index in fallback_indices:
-                        results[index] = engine.run(specs[index])
-        except BaseException:
-            stream.close()
-            raise
-        with tracer.span("round.drain", backend=name):
-            kernel_results = stream.finish()
-    else:
-        compiled: list[CompiledMeasurement] = []
-        with tracer.span(
-            "round.compile", backend=name, n_specs=len(specs)
-        ):
-            for index, spec in enumerate(specs):
-                cm = compile_measurement(
-                    engine, spec, index=index,
-                    predrawn_noise=predrawn.get(index)
-                )
-                if cm is None:
-                    fallback_indices.append(index)
-                else:
-                    compiled.append(cm)
-        if fallback_indices:
-            with tracer.span(
-                "round.fallback", n_specs=len(fallback_indices)
-            ):
-                for index in fallback_indices:
-                    results[index] = engine.run(specs[index])
-        with tracer.span(
-            "round.execute",
-            backend=name, n_compiled=len(compiled), shards=shards,
-        ):
-            kernel_results = (
-                backend_obj.run(
-                    compiled, max_workers=max_workers, shards=shards
-                )
-                if compiled
-                else []
+    compiled: list[CompiledMeasurement] = []
+    with tracer.span("round.compile", n_specs=len(specs)):
+        for index, spec in enumerate(specs):
+            cm = compile_measurement(
+                engine, spec, index=index,
+                predrawn_noise=predrawn.get(index)
             )
+            if cm is None:
+                fallback_indices.append(index)
+            else:
+                compiled.append(cm)
+    if fallback_indices:
+        with tracer.span(
+            "round.fallback", n_specs=len(fallback_indices)
+        ):
+            for index in fallback_indices:
+                results[index] = engine.run(specs[index])
+    with tracer.span("round.execute", n_compiled=len(compiled)):
+        kernel_results = execute_batch(compiled) if compiled else []
 
     registry.counter("kernel.specs.compiled").inc(
         len(specs) - len(fallback_indices)
@@ -277,8 +173,8 @@ def run_specs(
                     float(result.measurement[-1]) / 8.0, spec.target
                 )
             if result.behavior_rng_state is not None:
-                # Forgers: the verification replay consumed the
-                # behaviour's RNG in a worker; write the advanced state
+                # Forgers: the verification replay consumed a copy of the
+                # behaviour's RNG during the walk; write the advanced state
                 # (and any detected forgeries) back onto the live object.
                 spec.target.behavior.settle_verify_replay(
                     result.behavior_rng_state, result.cells_forged

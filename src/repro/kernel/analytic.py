@@ -30,14 +30,9 @@ non-NaN inputs), so estimates, thresholds, and accept decisions are
 **bit-identical** to the stateful ``analytic_estimate`` loop -- the
 oracle suite in ``tests/kernel/test_analytic.py`` asserts exact ``==``.
 
-Backend selection reuses the kernel registry
-(:mod:`repro.kernel.backends`): the ``analytic`` name is registered
-alongside ``serial``/``thread``/``process``/``vector``, and
-:func:`run_analytic_round` resolves the usual chain (explicit argument >
-``FlashFlowParams.kernel_backend`` > ``FLASHFLOW_KERNEL_BACKEND`` >
-``auto``). ``serial`` keeps the historical scalar loop alive for
-debugging granularity; every other backend runs the single array walk
-(an elementwise O(n) pass gains nothing from thread/process chunking).
+The campaign's analytic rounds always run this array walk; the scalar
+``analytic_estimate`` loop survives as the reference it is tested
+against.
 """
 
 from __future__ import annotations
@@ -50,7 +45,6 @@ import numpy as np
 
 from repro.core.engine import MeasurementEngine
 from repro.core.params import FlashFlowParams
-from repro.kernel.backends import _shard_parts, resolve_backend_name
 from repro.obs.trace import get_tracer
 
 _ALLOCATED = attrgetter("allocated")
@@ -93,21 +87,19 @@ class CompiledAnalyticRound:
 
 @dataclass
 class AnalyticRoundResult:
-    """Per-job estimates plus (on the vectorized path) fold decisions.
+    """Per-job estimates plus the campaign fold's accept decisions.
 
-    ``thresholds``/``accepted`` are ``None`` on the ``serial`` debug
-    path; the campaign fold then recomputes the accept decision per job
-    exactly as the historical loop did. When present they are
-    bit-identical to that recomputation, so the fold may consume them
-    directly.
+    ``thresholds``/``accepted`` are bit-identical to the scalar
+    recomputation (``params.acceptance_threshold`` and
+    ``z < threshold or capped``), so the fold consumes them directly.
     """
 
     #: Capacity estimate z per job (bit/s), in job order.
     estimates: list[float]
-    #: BWAuth acceptance threshold per job, or None (serial path).
-    thresholds: list[float] | None = None
-    #: ``z < threshold or capped`` per job, or None (serial path).
-    accepted: list[bool] | None = None
+    #: BWAuth acceptance threshold per job.
+    thresholds: list[float]
+    #: ``z < threshold or capped`` per job.
+    accepted: list[bool]
 
 
 def _true_capacities(jobs: Sequence) -> Iterator[float]:
@@ -190,52 +182,13 @@ def run_analytic_round(
     engine: MeasurementEngine,
     jobs: Sequence,
     params: FlashFlowParams | None = None,
-    backend: str | None = None,
-    shards: int | None = None,
 ) -> AnalyticRoundResult:
-    """Run one round of analytic estimates on the selected backend.
+    """Run one round of analytic estimates as one compiled array walk.
 
-    Backend resolution is the kernel's usual chain (explicit >
-    ``params.kernel_backend`` > ``FLASHFLOW_KERNEL_BACKEND`` > ``auto``),
-    validated at resolution time. ``serial`` runs the stateful
-    reference -- one :meth:`MeasurementEngine.analytic_estimate` call per
-    job, fold decisions left to the caller -- and every other backend
-    runs the compiled array walk. Both produce bit-identical campaigns.
-
-    ``shards`` partitions the round's jobs into that many contiguous,
-    balanced parts and walks the parts in order, concatenating the
-    per-part results -- elementwise ops over a contiguous partition, so
-    the sharded round is bit-identical to the unsharded one (the
-    ``serial`` reference loop already walks jobs one at a time and
-    ignores the flag).
+    Bit-identical to calling :meth:`MeasurementEngine.analytic_estimate`
+    once per job and recomputing each accept decision (the oracle suite
+    in ``tests/kernel/test_analytic.py`` pins this).
     """
     params = params or engine.params or FlashFlowParams()
-    name = resolve_backend_name(backend, params.kernel_backend)
-    tracer = get_tracer()
-    if name == "serial":
-        with tracer.span(
-            "round.analytic", backend=name, n_jobs=len(jobs)
-        ):
-            return AnalyticRoundResult(
-                estimates=[
-                    engine.analytic_estimate(
-                        job.relay, job.assignments, params, job.wobble
-                    )
-                    for job in jobs
-                ]
-            )
-    with tracer.span(
-        "round.analytic", backend=name, n_jobs=len(jobs), shards=shards
-    ):
-        if shards is not None and shards > 1 and len(jobs) > 1:
-            parts = _shard_parts(list(jobs), shards)
-            results = [
-                execute_analytic_round(compile_analytic_round(part, params))
-                for part in parts
-            ]
-            return AnalyticRoundResult(
-                estimates=[z for r in results for z in r.estimates],
-                thresholds=[t for r in results for t in r.thresholds],
-                accepted=[a for r in results for a in r.accepted],
-            )
+    with get_tracer().span("round.analytic", n_jobs=len(jobs)):
         return execute_analytic_round(compile_analytic_round(jobs, params))

@@ -1,8 +1,8 @@
-"""Lowering measurements into picklable compiled form.
+"""Lowering measurements into compiled form.
 
 :func:`compile_measurement` turns a :class:`MeasurementSpec` plus the
 engine's prepared inputs (:meth:`MeasurementEngine.prepare_inputs`) into
-a :class:`CompiledMeasurement`: a self-contained, picklable description
+a :class:`CompiledMeasurement`: a self-contained description
 of one honest-relay measurement whose per-second walk needs no Python
 object state at all. Compilation performs **every RNG draw** the
 stateful engine path would perform, in the same order on the same forked
@@ -17,13 +17,11 @@ streams:
 The engine's per-second *supply-noise* draws are the one exception: the
 measurement stream is forked per spec and nothing else ever reads it, so
 its post-prepare state ships inside the compiled measurement and the
-draws happen wherever the walk executes -- same stream, same positions,
-bit-identical values, but the drawing cost parallelises.
+draws happen inside the batched walk -- same stream, same positions,
+bit-identical values.
 
 What remains -- TCP ramp profiles, the capacity/ratio walk, and echo-cell
-verification replay -- is pure computation over the compiled arrays and
-can run anywhere (another thread, another process) with bit-identical
-results. The relay's stateful side effects (token bucket level,
+verification replay -- is pure computation over the compiled arrays. The relay's stateful side effects (token bucket level,
 observed-bandwidth history) are settled back onto the live relay by the
 caller from the walk's results.
 
@@ -59,7 +57,7 @@ from repro.tornet.relay import HONEST_PROGRAM, BehaviorProgram
 
 @dataclass(frozen=True)
 class CompiledAssignment:
-    """Picklable pure inputs for one assignment's supply-cap series."""
+    """Pure inputs for one assignment's supply-cap series."""
 
     path: Path
     sender_kernel: KernelConfig
@@ -90,14 +88,13 @@ class CompiledAssignment:
 
 @dataclass
 class CompiledMeasurement:
-    """One measurement, lowered to arrays plus pure picklable inputs.
+    """One measurement, lowered to arrays plus pure inputs.
 
     The measurement RNG state (for the supply-noise draws), ``noise_env``
     (relay jitter x environment factor), ``background`` and the
     token-bucket snapshot fully determine the behaviour-program walk; the
     assignment cap series is recomputed from :class:`CompiledAssignment`
-    wherever the measurement executes (cheap, pure, and keeps the
-    pickled payload small).
+    when the batch executes (cheap and pure).
     """
 
     index: int

@@ -33,7 +33,7 @@ measurement exactly as the stateful :class:`EchoVerifier` would
 The walk returns, besides the outcome, the relay-state deltas (final
 bucket tokens, per-second forwarded bytes) the caller settles back onto
 the live relay via :meth:`Relay.settle_measured_walk` -- this is what
-lets the walk itself run in a worker process.
+keeps the walk itself free of live-object state.
 """
 
 from __future__ import annotations
@@ -76,9 +76,7 @@ _EMPTY = np.zeros(0)
 class KernelResult:
     """Result of one compiled measurement plus relay-state deltas.
 
-    Per-second series stay numpy arrays end to end -- array buffers
-    pickle an order of magnitude faster than lists of Python floats,
-    which matters for the ``process`` backend's result path --and are
+    Per-second series stay numpy arrays end to end and are
     materialised into a :class:`MeasurementOutcome` by
     :meth:`to_outcome` on the consuming side.
     """
@@ -417,8 +415,3 @@ def execute_batch(
         for result in _walk_group(cms, duration):
             results[result.index] = result
     return [results[index] for index in order]
-
-
-def execute_compiled(cm: CompiledMeasurement) -> KernelResult:
-    """Execute one compiled measurement (a batch of one)."""
-    return execute_batch([cm])[0]

@@ -3,16 +3,14 @@
 A zero-dependency observability subsystem with three pillars:
 
 - **tracer** (:mod:`repro.obs.trace`): hierarchical spans (``campaign >
-  period > round > compile/execute/settle``, per-backend-chunk and
-  shadow-churn children) with wall/CPU time and attached attributes.
+  period > round > compile/execute/settle``, shadow-churn children)
+  with wall/CPU time and attached attributes.
   The ambient tracer defaults to the no-op :data:`NULL_TRACER`;
   ``ExecutionConfig(trace=PATH)`` (or ``python -m repro.api --trace``)
   installs a recording tracer streaming to a JSONL file.
 - **metrics** (:mod:`repro.obs.metrics`): counters / gauges /
-  histograms at the choke points -- rounds retried, stateful-path
-  fallbacks, shm allocations and fallbacks, pool rebuilds, stream
-  queue depth -- plus :func:`warn_once` so silent degradations surface
-  exactly once per process.
+  histograms at the choke points -- rounds retried, specs compiled,
+  stateful-path fallbacks.
 - **exporters** (:mod:`repro.obs.export`): the incremental
   ``flashflow-trace/1`` JSONL writer with a run manifest (seed,
   scenario, backend, cpu_count, git rev) and a plain-text summary
@@ -21,7 +19,7 @@ A zero-dependency observability subsystem with three pillars:
 
 Tracing never perturbs results (spans read clocks, not RNGs; the
 bit-identity oracle suites run traced), and the disabled path is a
-no-op fast path: instrumentation sits at round/chunk granularity and
+no-op fast path: instrumentation sits at round granularity and
 the null tracer allocates nothing. This event/metrics schema is the
 substrate the continuous daemon (ROADMAP item 1) and campaign archive
 (item 4) will consume.
@@ -36,14 +34,11 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import (
     Counter,
-    DegradationWarning,
     Gauge,
     Histogram,
     MetricsRegistry,
     get_registry,
     reset_registry,
-    reset_warnings,
-    warn_once,
 )
 from repro.obs.profiling import maybe_profile
 from repro.obs.trace import (
@@ -61,7 +56,6 @@ __all__ = [
     "NULL_TRACER",
     "TRACE_SCHEMA",
     "Counter",
-    "DegradationWarning",
     "Gauge",
     "Histogram",
     "JsonlTraceWriter",
@@ -77,7 +71,6 @@ __all__ = [
     "maybe_profile",
     "render_summary",
     "reset_registry",
-    "reset_warnings",
     "run_manifest",
     "use_tracer",
     "validate_trace",

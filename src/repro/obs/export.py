@@ -6,7 +6,7 @@ an analyzable prefix:
 
 - line 1 is always the **manifest** (``type: "manifest"``): schema
   name, run id, scenario name and seed, execution knobs (backend,
-  shards, pipeline, full_simulation), ``cpu_count``, python version,
+  full_simulation, ...), ``cpu_count``, python version,
   and the git revision when available -- everything needed to interpret
   (or reproduce) the run;
 - **span** records (``type: "span"``) follow as spans close, children
@@ -73,9 +73,11 @@ def run_manifest(
 ) -> dict:
     """The ``type: "manifest"`` record for one traced run.
 
-    ``extra`` keys (shards, pipeline, full_simulation, periods, ...)
-    are merged in verbatim; provenance fields (cpu_count, python,
-    git_rev, generated_unix, run_id) are always present.
+    ``backend`` names the measurement-kernel execution path (always
+    ``"vector"`` for campaign traces; the key is part of the
+    ``flashflow-trace/1`` schema). ``extra`` keys (full_simulation,
+    periods, ...) are merged in verbatim; provenance fields (cpu_count,
+    python, git_rev, generated_unix, run_id) are always present.
     """
     manifest = {
         "type": "manifest",

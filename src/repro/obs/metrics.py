@@ -1,41 +1,32 @@
 """A zero-dependency metrics registry: counters, gauges, histograms.
 
 Instrumented at the campaign/kernel choke points -- rounds retried,
-specs fallen back to the stateful path, shared-memory allocations and
-fallbacks, pool rebuilds, stream queue depth, bytes shipped -- at
-round/chunk granularity, never per second, so the always-on cost is a
-dict lookup and an integer add per event.
+specs compiled, specs fallen back to the stateful path -- at round
+granularity, never per second, so the always-on cost is a dict lookup
+and an integer add per event.
 
 Two registries matter in practice:
 
 - the **global registry** (:func:`get_registry`): the process-wide
-  sink the kernel's degradation counters land in (shm fallbacks, pool
-  rebuilds). Trace exporters snapshot it into the trace file; tests
-  :func:`reset_registry` around assertions.
+  sink the campaign and kernel counters land in. Trace exporters
+  snapshot it into the trace file; tests :func:`reset_registry` around
+  assertions.
 - **private registries**: :class:`repro.api.events.MetricsObserver`
   and friends each own one, so per-campaign numbers never mix with
   another run's.
-
-:func:`warn_once` is the companion for silent-degradation paths: a
-counter says *how often*, the one-shot :class:`DegradationWarning`
-says *that it happened at all* without spamming a long-running daemon.
 """
 
 from __future__ import annotations
 
 import threading
-import warnings
 
 __all__ = [
     "Counter",
-    "DegradationWarning",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "get_registry",
     "reset_registry",
-    "reset_warnings",
-    "warn_once",
 ]
 
 
@@ -159,7 +150,7 @@ class MetricsRegistry:
             self.histograms.clear()
 
 
-#: The process-wide registry kernel degradation counters land in.
+#: The process-wide registry the campaign and kernel counters land in.
 _GLOBAL = MetricsRegistry()
 
 
@@ -171,33 +162,3 @@ def get_registry() -> MetricsRegistry:
 def reset_registry() -> None:
     """Clear the global registry (test isolation)."""
     _GLOBAL.reset()
-
-
-class DegradationWarning(RuntimeWarning):
-    """A silent-degradation path was taken (shm fallback, pool rebuild)."""
-
-
-#: Keys already warned about this process (one-shot semantics).
-_warned: set[str] = set()
-_warned_lock = threading.Lock()
-
-
-def warn_once(key: str, message: str) -> bool:
-    """Emit ``message`` as a :class:`DegradationWarning` once per process.
-
-    Returns True if the warning fired (first time for ``key``). The
-    paired counter still increments every time, so repeated degradation
-    stays countable while a long-running process logs it exactly once.
-    """
-    with _warned_lock:
-        if key in _warned:
-            return False
-        _warned.add(key)
-    warnings.warn(message, DegradationWarning, stacklevel=3)
-    return True
-
-
-def reset_warnings() -> None:
-    """Forget which one-shot warnings fired (test isolation)."""
-    with _warned_lock:
-        _warned.clear()

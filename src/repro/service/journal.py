@@ -49,7 +49,7 @@ def service_manifest(config: ServiceConfig) -> dict:
     manifest = run_manifest(
         scenario_name=config.scenario,
         seed=config.effective_seed,
-        backend=config.execution.backend,
+        backend="vector",
     )
     manifest["schema"] = SERVICE_SCHEMA
     manifest["config"] = config.to_dict()

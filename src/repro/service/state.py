@@ -263,7 +263,7 @@ class ServiceConfig:
             publish_every=int(record.get("publish_every", 1)),
             out_dir=record.get("out_dir"),
             churn=ChurnConfig.from_dict(churn) if churn else None,
-            execution=ExecutionConfig(**record.get("execution", {})),
+            execution=ExecutionConfig.from_dict(record.get("execution", {})),
             clock=record.get("clock", "simulated"),
             seed=record.get("seed"),
         )

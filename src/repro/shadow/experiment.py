@@ -170,8 +170,6 @@ def flashflow_weights_for(
     seed: int = 0,
     params: FlashFlowParams | None = None,
     background_utilization: float = 0.35,
-    backend: str | None = None,
-    max_workers: int | None = None,
     shadow_backend: str | None = None,
 ) -> dict[str, float]:
     """Run the FlashFlow pipeline: 3 x 1 Gbit/s team measures everything.
@@ -180,9 +178,7 @@ def flashflow_weights_for(
     (:class:`repro.api.Campaign`): the whole-network measurement runs
     through the authority's shared :class:`MeasurementEngine` and the
     vectorized kernel -- each campaign round is one batched array walk
-    (or a ``thread``/``process`` pool via ``backend``) rather than a
-    hand-rolled per-relay loop. Estimates are bit-identical for every
-    backend/worker choice.
+    rather than a hand-rolled per-relay loop.
     """
     from repro.api import Campaign, ExecutionConfig, Scenario
 
@@ -209,8 +205,6 @@ def flashflow_weights_for(
             noise=SHADOW_MEASUREMENT_NOISE,
         ),
         ExecutionConfig(
-            backend=backend,
-            max_workers=max_workers,
             # Carried through Scenario -> Campaign for uniformity; the
             # measurement phase itself never runs the flow simulator.
             shadow_backend=shadow_backend,
@@ -305,17 +299,13 @@ def compare_systems(
     loads: tuple[float, ...] = (1.0, 1.15, 1.30),
     seed: int = 0,
     run_performance: bool = True,
-    measurement_backend: str | None = None,
-    measurement_workers: int | None = None,
     shadow_backend: str | None = None,
 ) -> ExperimentResult:
     """Full §7 pipeline: weights, error metrics, performance runs.
 
-    ``measurement_backend``/``measurement_workers`` select the kernel
-    backend for the FlashFlow measurement phase, and ``shadow_backend``
-    the flow-simulator backend (:mod:`repro.shadow.flows`) for the
-    TorFlow warmups and the Figure 9 performance runs; figures are
-    identical for every choice.
+    ``shadow_backend`` selects the flow-simulator backend
+    (:mod:`repro.shadow.flows`) for the TorFlow warmups and the Figure 9
+    performance runs; figures are identical for every choice.
     """
     config = config or ShadowConfig()
     network = build_network(config)
@@ -323,11 +313,7 @@ def compare_systems(
         network, seed=seed, shadow_backend=shadow_backend
     )
     ff_estimates = flashflow_weights_for(
-        network,
-        seed=seed,
-        backend=measurement_backend,
-        max_workers=measurement_workers,
-        shadow_backend=shadow_backend,
+        network, seed=seed, shadow_backend=shadow_backend
     )
     result = ExperimentResult(
         network=network,

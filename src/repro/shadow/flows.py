@@ -33,7 +33,7 @@ with scalar CPython pow at event granularity. Everything else --
 add/mul/div, gathers, 3-wide means, ``np.minimum``, ``np.bincount`` --
 is the same IEEE-754 operation either way.
 
-Backends mirror :mod:`repro.kernel.backends`: ``stateful`` keeps the
+Two backends: ``stateful`` keeps the
 historical per-second Python walk alive, ``vector`` (the ``auto``
 default) runs this kernel. Selection order: explicit ``backend=``
 argument, then the ``FLASHFLOW_SHADOW_BACKEND`` environment variable,
@@ -63,7 +63,7 @@ OVERLOAD_ONSET = 1.10
 OVERLOAD_FULL = 1.60
 
 #: Environment variable consulted when the caller leaves the shadow
-#: backend unset (mirrors ``FLASHFLOW_KERNEL_BACKEND``).
+#: backend unset.
 SHADOW_BACKEND_ENV_VAR = "FLASHFLOW_SHADOW_BACKEND"
 
 #: Window-cap numerators, grouped exactly as ``circuit_rate_cap``
@@ -493,7 +493,7 @@ def _walk_horizon(simulator, prepared, tracer):
 
 
 # ---------------------------------------------------------------------------
-# Backend registry (mirrors repro.kernel.backends)
+# Backend registry
 # ---------------------------------------------------------------------------
 
 class ShadowFlowBackend:
@@ -555,8 +555,7 @@ def resolve_shadow_backend_name(explicit: str | None = None) -> str:
     any simulation work starts: a typo'd ``FLASHFLOW_SHADOW_BACKEND``
     (or explicit name) fails fast with a :class:`ConfigurationError`
     naming the registered backends instead of surfacing as a raw
-    ``KeyError`` mid-simulation -- the same contract as
-    :func:`repro.kernel.backends.resolve_backend_name`.
+    ``KeyError`` mid-simulation.
     """
     env = os.environ.get(SHADOW_BACKEND_ENV_VAR)
     if explicit:

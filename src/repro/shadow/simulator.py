@@ -11,8 +11,7 @@ Each simulated second:
 4. benchmark transfers advance, recording TTFB/TTLB/timeouts;
 5. per-relay throughput and utilisation are accumulated.
 
-Execution is pluggable (:mod:`repro.shadow.flows`, mirroring the
-measurement kernel's :mod:`repro.kernel.backends`): the default
+Execution is pluggable (:mod:`repro.shadow.flows`): the default
 ``vector`` backend compiles each horizon onto the flow kernel's arrays
 (flow table rebuilt only at circuit churn, congested RTTs and transfer
 bookkeeping as batched array ops), while ``backend="stateful"`` keeps

@@ -218,11 +218,11 @@ def test_ff006_satisfied_by_raise_warn_or_counter(tmp_path):
         "    except ValueError as exc:\n        raise RuntimeError from exc\n"
     )
     warned = (
-        "from repro.obs.metrics import warn_once\n\n"
+        "import warnings\n\n"
         "def f():\n"
         "    try:\n        return g()\n"
         "    except ValueError:\n"
-        "        warn_once('x')\n        return None\n"
+        "        warnings.warn('x')\n        return None\n"
     )
     counted = (
         "def f(counter):\n"

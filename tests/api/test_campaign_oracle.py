@@ -2,9 +2,11 @@
 
 ``_reference_measure_network`` below is a verbatim port of the
 ``measure_network`` body as it stood before the scenario API absorbed
-it (PR 2 state). Registered scenarios resolved deterministically must
-produce the *exact* same estimates through ``Campaign.run()`` on every
-kernel backend as that historical loop produces on freshly resolved,
+it (PR 2 state), with every measurement run on the stateful reference
+path (``MeasurementEngine.run`` / ``analytic_estimate``, one job at a
+time). Registered scenarios resolved deterministically must produce the
+*exact* same estimates through ``Campaign.run()`` -- the vectorized
+kernel -- as that historical loop produces on freshly resolved,
 identical inputs.
 """
 
@@ -13,13 +15,17 @@ from typing import Callable
 
 import pytest
 
-from repro.api import Campaign, ExecutionConfig, get_scenario
+from repro.api import (
+    Campaign,
+    ExecutionConfig,
+    default_execution_for,
+    get_scenario,
+    scenario_registry,
+)
 from repro.core.allocation import allocate_capacity, total_allocated
 from repro.core.engine import MeasurementEngine, MeasurementSpec
 from repro.core.netmeasure import CampaignResult
 from repro.rng import fork
-
-BACKENDS = ("serial", "thread", "process", "vector")
 
 
 def _reference_measure_network(
@@ -31,9 +37,6 @@ def _reference_measure_network(
     full_simulation: bool = True,
     noise=None,
     analytic_error_std: float = 0.02,
-    max_workers=None,
-    engine=None,
-    backend=None,
 ) -> CampaignResult:
     """The pre-API ``measure_network`` loop, preserved as an oracle."""
     params = authority.params
@@ -42,8 +45,7 @@ def _reference_measure_network(
     prior = prior_estimates or {}
     result = CampaignResult(slot_seconds=params.slot_seconds)
     rng = fork(authority.seed, "campaign-analytic")
-    if engine is None:
-        engine = getattr(authority, "engine", None) or MeasurementEngine()
+    engine = getattr(authority, "engine", None) or MeasurementEngine()
 
     old = [fp for fp in network.relays if fp in prior]
     new = [fp for fp in network.relays if fp not in prior]
@@ -114,9 +116,7 @@ def _reference_measure_network(
                 )
                 for fp, z0, rounds, slot, capped, assignments, bg, _ in jobs
             ]
-            outcomes = engine.run_many(
-                specs, max_workers=max_workers, backend=backend
-            )
+            outcomes = [engine.run(spec) for spec in specs]
             results = [
                 (o.estimate, o.failed, o.failure_reason) for o in outcomes
             ]
@@ -169,15 +169,12 @@ def _reference_for_scenario(scenario, execution: ExecutionConfig):
         full_simulation=execution.full_simulation,
         noise=resolved.noise,
         analytic_error_std=execution.analytic_error_std,
-        max_workers=execution.max_workers,
-        backend=execution.backend,
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_fig06_accuracy_campaign_matches_reference(backend):
+def test_fig06_accuracy_campaign_matches_reference():
     scenario = get_scenario("fig06-accuracy", n_relays=8, seed=6)
-    execution = ExecutionConfig(backend=backend)
+    execution = ExecutionConfig()
     reference = _reference_for_scenario(scenario, execution)
     report = Campaign(scenario, execution).run()
     assert report.estimates == reference.estimates
@@ -186,10 +183,9 @@ def test_fig06_accuracy_campaign_matches_reference(backend):
     assert report.measurements_run == reference.measurements_run
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_whole_network_efficiency_matches_reference(backend):
+def test_whole_network_efficiency_matches_reference():
     scenario = get_scenario("whole-network-efficiency", n_relays=60, seed=71)
-    execution = ExecutionConfig(backend=backend, full_simulation=False)
+    execution = ExecutionConfig(full_simulation=False)
     reference = _reference_for_scenario(scenario, execution)
     report = Campaign(scenario, execution).run()
     assert report.estimates == reference.estimates
@@ -197,30 +193,33 @@ def test_whole_network_efficiency_matches_reference(backend):
     assert report.measurements_run == reference.measurements_run
 
 
-@pytest.mark.parametrize(
-    "name,overrides",
-    [
-        ("fig06-accuracy", {"n_relays": 6}),
-        ("whole-network-efficiency", {"n_relays": 24}),
-        ("background-traffic", {"n_relays": 6}),
-        ("inflation-attack", {"n_relays": 8}),
-        ("multi-period-deployment", {"n_relays": 4, "periods": 2}),
-        ("shadow-measurement", {"n_relays": 6}),
-    ],
+#: Size overrides keeping the oracle runs small; scenarios not listed
+#: run at their registered defaults.
+SMALL = {
+    "fig06-accuracy": {"n_relays": 6},
+    "whole-network-efficiency": {"n_relays": 24},
+    "background-traffic": {"n_relays": 6},
+    "inflation-attack": {"n_relays": 8},
+    "shadow-measurement": {"n_relays": 6},
+}
+
+SINGLE_PERIOD = sorted(
+    name for name in scenario_registry() if get_scenario(name).periods == 1
 )
-def test_every_registered_scenario_is_backend_invariant(name, overrides):
-    """Each canned scenario produces bit-identical estimates on all
-    four kernel backends (fresh resolution per run: relays are
-    stateful)."""
-    reports = {}
-    for backend in BACKENDS:
-        scenario = get_scenario(name, **overrides)
-        base = ExecutionConfig(backend=backend)
-        if name == "whole-network-efficiency":
-            base = ExecutionConfig(backend=backend, full_simulation=False)
-        reports[backend] = Campaign(scenario, base).run()
-    reference = reports["vector"]
+
+
+@pytest.mark.parametrize("name", SINGLE_PERIOD)
+def test_every_registered_scenario_matches_reference(name):
+    """Each canned single-period scenario produces bit-identical
+    estimates through the campaign and through the stateful reference
+    loop (fresh resolution per run: relays are stateful)."""
+    overrides = SMALL.get(name, {})
+    scenario = get_scenario(name, **overrides)
+    execution = default_execution_for(name)
+    reference = _reference_for_scenario(scenario, execution)
+    report = Campaign(get_scenario(name, **overrides), execution).run()
     assert reference.estimates, name
-    for backend, report in reports.items():
-        assert report.estimates == reference.estimates, (name, backend)
-        assert report.slots_elapsed == reference.slots_elapsed, (name, backend)
+    assert report.estimates == reference.estimates
+    assert report.failures == reference.failures
+    assert report.slots_elapsed == reference.slots_elapsed
+    assert report.measurements_run == reference.measurements_run

@@ -125,7 +125,7 @@ def test_cli_list_and_smoke(capsys):
         assert name in out
 
     code = api_main([
-        "fig06-accuracy", "--backend", "serial", "--quiet",
+        "fig06-accuracy", "--quiet",
         "-o", "n_relays=3",
     ])
     assert code == 0

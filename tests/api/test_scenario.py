@@ -74,9 +74,9 @@ def test_adversary_spec_rejects_unknown_name_and_bad_fraction():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"backend": ""},
-    {"backend": "vectr"},  # typos fail at construction, not mid-run
-    {"max_workers": 0},
+    {"shadow_backend": ""},
+    {"shadow_backend": "vectr"},  # typos fail at construction, not mid-run
+    {"trace": 5},
     {"max_rounds": 0},
     {"analytic_error_std": -0.1},
 ])
@@ -85,9 +85,9 @@ def test_execution_config_rejects_bad_fields(kwargs):
         ExecutionConfig(**kwargs)
 
 
-def test_execution_config_with_backend():
-    config = ExecutionConfig(max_rounds=5).with_backend("serial")
-    assert config.backend == "serial"
+def test_execution_config_with_shadow_backend():
+    config = ExecutionConfig(max_rounds=5).with_shadow_backend("stateful")
+    assert config.shadow_backend == "stateful"
     assert config.max_rounds == 5
 
 

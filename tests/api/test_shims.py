@@ -1,8 +1,6 @@
-"""Deprecation shims: old entry points, bit-identical via the API."""
+"""Compatibility shims: old entry points, bit-identical via the API."""
 
 import warnings
-
-import pytest
 
 from repro import quick_team
 from repro.api import Campaign, ExecutionConfig, Scenario
@@ -17,17 +15,6 @@ def _fresh(seed_net=21, seed_auth=22, n_relays=10):
     )
 
 
-def test_loose_kwargs_emit_deprecation_warning():
-    network, auth = _fresh()
-    with pytest.warns(DeprecationWarning, match="ExecutionConfig"):
-        measure_network(
-            network, auth, full_simulation=False, backend="serial"
-        )
-    network, auth = _fresh()
-    with pytest.warns(DeprecationWarning):
-        measure_network(network, auth, full_simulation=False, max_workers=2)
-
-
 def test_plain_calls_do_not_warn():
     network, auth = _fresh()
     with warnings.catch_warnings():
@@ -37,15 +24,11 @@ def test_plain_calls_do_not_warn():
 
 def test_measure_network_shim_bit_identical_to_campaign():
     network, auth = _fresh()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        shim = measure_network(
-            network, auth, full_simulation=True, backend="vector"
-        )
+    shim = measure_network(network, auth, full_simulation=True)
     network2, auth2 = _fresh()
     report = Campaign(
         Scenario(network=network2, team=auth2),
-        ExecutionConfig(backend="vector"),
+        ExecutionConfig(),
     ).run()
     assert shim.estimates == report.estimates
     assert shim.failures == report.failures

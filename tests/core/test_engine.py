@@ -1,9 +1,9 @@
-"""Tests for the batched, parallel measurement engine.
+"""Tests for the batched measurement engine.
 
 The contract under test: the engine's precomputation and batching are
 pure reorganisations of the historical serial per-second loop -- same
 forked RNG streams consumed in the same order -- so its outcomes are
-*bit-identical* to serial execution, for any worker count.
+*bit-identical* to serial execution.
 """
 
 import statistics
@@ -11,7 +11,6 @@ import statistics
 import pytest
 
 from repro import quick_team
-from repro.api import Campaign, ExecutionConfig, Scenario
 from repro.core.allocation import allocate_capacity, total_allocated
 from repro.core.engine import (
     MeasurementEngine,
@@ -178,7 +177,7 @@ def test_ramp_profile_matches_per_second_rate_caps():
 
 
 # ---------------------------------------------------------------------------
-# Concurrency: worker count never changes results
+# Batches: one batched walk equals one run per spec; shared targets never race
 # ---------------------------------------------------------------------------
 
 def _many_specs(params, team, n=8, seed0=40):
@@ -193,10 +192,11 @@ def _many_specs(params, team, n=8, seed0=40):
 
 
 def test_run_many_parallel_matches_serial(engine):
+    """The batched walk over many relays equals running them one by one."""
     params = FlashFlowParams()
     auth = quick_team(seed=4)
-    serial = engine.run_many(_many_specs(params, auth.team), max_workers=1)
-    parallel = engine.run_many(_many_specs(params, auth.team), max_workers=4)
+    serial = [engine.run(spec) for spec in _many_specs(params, auth.team)]
+    parallel = engine.run_many(_many_specs(params, auth.team))
     assert len(serial) == len(parallel) == 8
     for a, b in zip(serial, parallel):
         assert a.estimate == b.estimate
@@ -214,7 +214,7 @@ def test_run_many_duplicate_targets_fall_back_to_serial(engine):
               enforce_admission=False)
         for s in (1, 2)
     ]
-    outcomes = engine.run_many(specs, max_workers=4)
+    outcomes = engine.run_many(specs)
     # Identical to running them one after the other on a twin relay.
     twin = Relay.with_capacity("shared", mbit(100), seed=50)
     expected = [
@@ -223,38 +223,6 @@ def test_run_many_duplicate_targets_fall_back_to_serial(engine):
         for s in (1, 2)
     ]
     assert [o.estimate for o in outcomes] == [o.estimate for o in expected]
-
-
-def _campaign_result(network, auth, max_workers, full_simulation=True):
-    """The supported execution path (no deprecated loose kwargs)."""
-    report = Campaign(
-        Scenario(network=network, team=auth),
-        ExecutionConfig(max_workers=max_workers, full_simulation=full_simulation),
-    ).run()
-    return report.result
-
-
-def test_measure_network_worker_count_invariant():
-    network1 = synthesize_network(n_relays=20, seed=71)
-    network4 = synthesize_network(n_relays=20, seed=71)
-    auth1 = quick_team(seed=72)
-    auth4 = quick_team(seed=72)
-    r1 = _campaign_result(network1, auth1, max_workers=1)
-    r4 = _campaign_result(network4, auth4, max_workers=4)
-    assert r1.estimates == r4.estimates
-    assert r1.failures == r4.failures
-    assert r1.slots_elapsed == r4.slots_elapsed
-    assert r1.measurements_run == r4.measurements_run
-
-
-def test_measure_network_analytic_worker_count_invariant():
-    network = synthesize_network(n_relays=30, seed=73)
-    auth1 = quick_team(seed=74)
-    auth4 = quick_team(seed=74)
-    r1 = _campaign_result(network, auth1, max_workers=1, full_simulation=False)
-    r4 = _campaign_result(network, auth4, max_workers=4, full_simulation=False)
-    assert r1.estimates == r4.estimates
-    assert r1.slots_elapsed == r4.slots_elapsed
 
 
 # ---------------------------------------------------------------------------

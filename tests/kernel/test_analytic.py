@@ -4,9 +4,11 @@ The contract: lowering a round of ``MeasurementEngine.analytic_estimate``
 calls into the array walk (:mod:`repro.kernel.analytic`) changes *no
 bits* -- estimates, acceptance thresholds, and accept decisions are
 ``==`` to the stateful scalar loop for every seed, prior shape, and
-background form, and whole analytic campaigns are ``==`` across
-backends.
+background form, and whole analytic campaigns are ``==`` to the same
+campaigns run with the scalar loop in place of the kernel.
 """
+
+from unittest import mock
 
 import pytest
 
@@ -16,11 +18,11 @@ from repro.core.allocation import allocate_capacity, total_allocated
 from repro.core.engine import AnalyticInputs, MeasurementEngine
 from repro.core.params import FlashFlowParams
 from repro.kernel.analytic import (
+    AnalyticRoundResult,
     compile_analytic_round,
     execute_analytic_round,
     run_analytic_round,
 )
-from repro.kernel.backends import backend_names
 from repro.rng import fork
 from repro.tornet.network import synthesize_network
 from repro.tornet.relay import Relay
@@ -70,24 +72,13 @@ def _round_jobs(n=40, seed=3):
 def test_round_walk_matches_scalar_loop_exactly(seed):
     params, jobs = _round_jobs(seed=seed)
     engine = MeasurementEngine()
-    result = run_analytic_round(engine, jobs, params, backend="analytic")
+    result = run_analytic_round(engine, jobs, params)
     for i, job in enumerate(jobs):
         z = engine.analytic_estimate(job.relay, job.assignments, params, job.wobble)
         threshold = params.acceptance_threshold(total_allocated(job.assignments))
         assert result.estimates[i] == z
         assert result.thresholds[i] == threshold
         assert result.accepted[i] == (z < threshold or job.capped)
-
-
-def test_serial_backend_keeps_the_stateful_loop():
-    params, jobs = _round_jobs()
-    engine = MeasurementEngine()
-    serial = run_analytic_round(engine, jobs, params, backend="serial")
-    # The debug path leaves fold decisions to the caller...
-    assert serial.thresholds is None and serial.accepted is None
-    # ...and its estimates are the vector walk's, bit for bit.
-    vector = run_analytic_round(engine, jobs, params, backend="vector")
-    assert serial.estimates == vector.estimates
 
 
 def test_compiled_capacity_matches_the_relay_property():
@@ -129,10 +120,29 @@ def test_empty_round():
 
 
 # ---------------------------------------------------------------------------
-# Campaign-level oracle: serial vs vectorized analytic campaigns
+# Campaign-level oracle: the kernel vs the scalar loop, whole campaigns
 # ---------------------------------------------------------------------------
 
-def _analytic_campaign(backend, *, seed_net, seed_auth, priors=None,
+def _scalar_round(engine, jobs, params=None):
+    """The stateful reference round: one ``analytic_estimate`` call and
+    one accept-decision recomputation per job (the historical loop)."""
+    params = params or engine.params or FlashFlowParams()
+    estimates = [
+        engine.analytic_estimate(job.relay, job.assignments, params, job.wobble)
+        for job in jobs
+    ]
+    thresholds = [
+        params.acceptance_threshold(total_allocated(job.assignments))
+        for job in jobs
+    ]
+    accepted = [
+        z < threshold or job.capped
+        for z, threshold, job in zip(estimates, thresholds, jobs)
+    ]
+    return AnalyticRoundResult(estimates, thresholds, accepted)
+
+
+def _analytic_campaign(reference, *, seed_net, seed_auth, priors=None,
                        background=0.0, periods=1, n_relays=40):
     network = synthesize_network(n_relays=n_relays, seed=seed_net)
     authority = quick_team(seed=seed_auth)
@@ -144,9 +154,12 @@ def _analytic_campaign(backend, *, seed_net, seed_auth, priors=None,
             background=background,
             periods=periods,
         ),
-        ExecutionConfig(backend=backend, full_simulation=False),
+        ExecutionConfig(full_simulation=False),
     )
-    return campaign.run()
+    if not reference:
+        return campaign.run()
+    with mock.patch("repro.api.campaign.run_analytic_round", _scalar_round):
+        return campaign.run()
 
 
 def _assert_reports_identical(a, b):
@@ -160,16 +173,15 @@ def _assert_reports_identical(a, b):
 
 
 @pytest.mark.parametrize("seed_net,seed_auth", [(31, 32), (73, 74), (5, 6)])
-def test_analytic_campaigns_identical_across_backends(seed_net, seed_auth):
+def test_analytic_campaigns_match_scalar_loop(seed_net, seed_auth):
     reference = _analytic_campaign(
-        "serial", seed_net=seed_net, seed_auth=seed_auth
+        True, seed_net=seed_net, seed_auth=seed_auth
     )
     assert len(reference.estimates) > 0
-    for backend in (None, "vector", "analytic", "thread", "process"):
-        report = _analytic_campaign(
-            backend, seed_net=seed_net, seed_auth=seed_auth
-        )
-        _assert_reports_identical(reference, report)
+    report = _analytic_campaign(
+        False, seed_net=seed_net, seed_auth=seed_auth
+    )
+    _assert_reports_identical(reference, report)
 
 
 @pytest.mark.parametrize(
@@ -179,10 +191,10 @@ def test_analytic_campaigns_identical_across_backends(seed_net, seed_auth):
 )
 def test_analytic_campaigns_identical_across_prior_shapes(priors):
     reference = _analytic_campaign(
-        "serial", seed_net=41, seed_auth=42, priors=priors
+        True, seed_net=41, seed_auth=42, priors=priors
     )
     report = _analytic_campaign(
-        "analytic", seed_net=41, seed_auth=42, priors=priors
+        False, seed_net=41, seed_auth=42, priors=priors
     )
     _assert_reports_identical(reference, report)
 
@@ -191,30 +203,20 @@ def test_analytic_campaigns_identical_across_background_forms():
     demand = mbit(25.0)
     for background in (demand, lambda _t: demand, {"relay0": demand}):
         reference = _analytic_campaign(
-            "serial", seed_net=51, seed_auth=52, background=background
+            True, seed_net=51, seed_auth=52, background=background
         )
         report = _analytic_campaign(
-            "analytic", seed_net=51, seed_auth=52, background=background
+            False, seed_net=51, seed_auth=52, background=background
         )
         _assert_reports_identical(reference, report)
 
 
 def test_multi_period_analytic_deployment_identical():
     reference = _analytic_campaign(
-        "serial", seed_net=61, seed_auth=62, periods=3, n_relays=20
+        True, seed_net=61, seed_auth=62, periods=3, n_relays=20
     )
     report = _analytic_campaign(
-        "analytic", seed_net=61, seed_auth=62, periods=3, n_relays=20
+        False, seed_net=61, seed_auth=62, periods=3, n_relays=20
     )
     _assert_reports_identical(reference, report)
     assert len(reference.period_results) == 3
-
-
-# ---------------------------------------------------------------------------
-# Registry integration
-# ---------------------------------------------------------------------------
-
-def test_analytic_backend_is_registered():
-    assert "analytic" in backend_names()
-    # ExecutionConfig validates against the live registry.
-    ExecutionConfig(backend="analytic")

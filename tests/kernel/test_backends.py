@@ -1,57 +1,69 @@
-"""Backend parity: every backend is the same bits, differently scheduled.
+"""Kernel parity: the vectorized walk is the stateful engine's bits.
 
-The satellite contract: ``serial``, ``thread``, and ``process`` backends
-produce identical :class:`CampaignResult`s for a seeded 30-relay
-network (and the ``vector`` default matches too), backend selection
-resolves params over environment over default, and unknown names fail
-loudly.
+A seeded 30-relay campaign (and a two-period deployment) run through
+the kernel produces the same results as the same campaign with every
+measurement on the stateful :meth:`MeasurementEngine.run` path, and
+``run_many``
+matches per-spec ``run`` outcome for outcome, including batches that
+measure one relay twice (those run statefully).
 """
 
-import os
-
-import pytest
-
 from repro import quick_team
-from repro.api import Campaign, ExecutionConfig, Scenario
+from repro.api import Campaign, ExecutionConfig, Scenario, get_scenario
 from repro.core.allocation import allocate_capacity
 from repro.core.engine import MeasurementEngine, MeasurementSpec
 from repro.core.params import FlashFlowParams
-from repro.errors import ConfigurationError
-from repro.kernel.backends import (
-    BACKEND_ENV_VAR,
-    backend_names,
-    get_backend,
-    resolve_backend_name,
-)
 from repro.tornet.network import synthesize_network
 from repro.tornet.relay import Relay
 from repro.units import mbit
 
-ALL_BACKENDS = ("serial", "thread", "process", "vector")
+
+class StatefulEngine(MeasurementEngine):
+    """An engine whose batches run one stateful ``run`` per spec."""
+
+    def run_many(self, specs):
+        return [self.run(spec) for spec in specs]
 
 
-def _campaign(backend):
+def _campaign(engine=None):
     network = synthesize_network(n_relays=30, seed=71)
     authority = quick_team(seed=72)
     report = Campaign(
         Scenario(network=network, team=authority),
-        ExecutionConfig(backend=backend, max_workers=2),
+        ExecutionConfig(),
+        engine=engine,
     ).run()
     return report.result
 
 
-def test_all_backends_produce_identical_campaign_results():
-    results = {backend: _campaign(backend) for backend in ALL_BACKENDS}
-    reference = results["serial"]
+def test_kernel_campaign_matches_stateful_campaign():
+    result = _campaign()
+    reference = _campaign(StatefulEngine())
     assert len(reference.estimates) == 30
-    for backend, result in results.items():
-        assert result.estimates == reference.estimates, backend
-        assert result.failures == reference.failures, backend
-        assert result.slots_elapsed == reference.slots_elapsed, backend
-        assert result.measurements_run == reference.measurements_run, backend
+    assert result.estimates == reference.estimates
+    assert result.failures == reference.failures
+    assert result.slots_elapsed == reference.slots_elapsed
+    assert result.measurements_run == reference.measurements_run
 
 
-def test_backends_match_stateful_engine_on_run_many():
+def test_multi_period_campaign_matches_stateful_campaign():
+    """Prior carryover and aging across periods see the same bits."""
+    def run(engine=None):
+        scenario = get_scenario("multi-period-deployment", n_relays=4, periods=2)
+        return Campaign(scenario, ExecutionConfig(), engine=engine).run()
+
+    report, reference = run(), run(StatefulEngine())
+    assert len(reference.period_results) == 2
+    assert reference.estimates
+    for got, want in zip(report.period_results, reference.period_results):
+        assert got.estimates == want.estimates
+        assert got.failures == want.failures
+        assert got.slots_elapsed == want.slots_elapsed
+    for got, want in zip(report.deployment_records, reference.deployment_records):
+        assert got.bwfile.serialize() == want.bwfile.serialize()
+
+
+def test_run_many_matches_stateful_engine():
     params = FlashFlowParams()
     team = quick_team(seed=4).team
 
@@ -73,89 +85,13 @@ def test_backends_match_stateful_engine_on_run_many():
         return out
 
     reference = [MeasurementEngine().run(spec) for spec in specs()]
-    for backend in ALL_BACKENDS:
-        outcomes = MeasurementEngine().run_many(
-            specs(), backend=backend, max_workers=2
-        )
-        assert [o.estimate for o in outcomes] \
-            == [o.estimate for o in reference], backend
-        assert [o.per_second_total for o in outcomes] \
-            == [o.per_second_total for o in reference], backend
-        assert [o.cells_checked for o in outcomes] \
-            == [o.cells_checked for o in reference], backend
-
-
-def test_registry_and_resolution():
-    assert set(ALL_BACKENDS) <= set(backend_names())
-    # auto -> vector; explicit beats params; params beat environment.
-    assert resolve_backend_name(None, None) == "vector"
-    assert resolve_backend_name("serial", "process") == "serial"
-    assert resolve_backend_name(None, "process") == "process"
-    old = os.environ.get(BACKEND_ENV_VAR)
-    try:
-        os.environ[BACKEND_ENV_VAR] = "thread"
-        assert resolve_backend_name(None, None) == "thread"
-        assert resolve_backend_name(None, "serial") == "serial"
-    finally:
-        if old is None:
-            os.environ.pop(BACKEND_ENV_VAR, None)
-        else:
-            os.environ[BACKEND_ENV_VAR] = old
-    with pytest.raises(ConfigurationError):
-        get_backend("not-a-backend")
-
-
-def test_invalid_env_backend_fails_fast_at_resolution(monkeypatch):
-    """A typo'd FLASHFLOW_KERNEL_BACKEND raises at resolution time,
-    naming the registered backends -- not a raw KeyError mid-campaign."""
-    monkeypatch.setenv(BACKEND_ENV_VAR, "vectr")
-    with pytest.raises(ConfigurationError) as excinfo:
-        resolve_backend_name(None, None)
-    message = str(excinfo.value)
-    assert BACKEND_ENV_VAR in message
-    for name in backend_names():
-        assert name in message
-    # Explicit and params-sourced names validate identically.
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-    with pytest.raises(ConfigurationError, match="backend argument"):
-        resolve_backend_name("bogus", None)
-    with pytest.raises(ConfigurationError, match="kernel_backend"):
-        resolve_backend_name(None, "bogus")
-
-
-def test_invalid_env_backend_fails_before_any_measurement(monkeypatch):
-    """The campaign path surfaces the env typo as ConfigurationError."""
-    monkeypatch.setenv(BACKEND_ENV_VAR, "not-a-backend")
-    network = synthesize_network(n_relays=3, seed=11)
-    authority = quick_team(seed=12)
-    campaign = Campaign(Scenario(network=network, team=authority),
-                        ExecutionConfig())
-    with pytest.raises(ConfigurationError, match="known backends"):
-        campaign.run()
-    # The analytic path validates identically.
-    campaign = Campaign(Scenario(network=network, team=authority),
-                        ExecutionConfig(full_simulation=False))
-    with pytest.raises(ConfigurationError, match="known backends"):
-        campaign.run()
-
-
-def test_params_kernel_backend_is_honoured():
-    params = FlashFlowParams(kernel_backend="serial")
-    team = quick_team(seed=5, params=params).team
-    specs = [
-        MeasurementSpec(
-            target=Relay.with_capacity(f"r{i}", mbit(100 + i), seed=i),
-            assignments=allocate_capacity(team, mbit(300)),
-            params=params,
-            seed=i,
-            enforce_admission=False,
-        )
-        for i in range(3)
-    ]
-    outcomes = MeasurementEngine().run_many(specs)
-    assert all(not o.failed for o in outcomes)
-    with pytest.raises(ConfigurationError):
-        FlashFlowParams(kernel_backend="")
+    outcomes = MeasurementEngine().run_many(specs())
+    assert [o.estimate for o in outcomes] \
+        == [o.estimate for o in reference]
+    assert [o.per_second_total for o in outcomes] \
+        == [o.per_second_total for o in reference]
+    assert [o.cells_checked for o in outcomes] \
+        == [o.cells_checked for o in reference]
 
 
 def test_duplicate_targets_still_fall_back_to_stateful_serial():
@@ -172,7 +108,7 @@ def test_duplicate_targets_still_fall_back_to_stateful_serial():
         )
         for s in (1, 2)
     ]
-    outcomes = MeasurementEngine().run_many(specs, backend="process")
+    outcomes = MeasurementEngine().run_many(specs)
     twin = Relay.with_capacity("shared", mbit(100), seed=50)
     engine = MeasurementEngine()
     expected = [

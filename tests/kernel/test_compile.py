@@ -17,7 +17,7 @@ from repro.attacks.relays import TrafficLiarRelayBehavior
 from repro.core.allocation import allocate_capacity
 from repro.core.engine import MeasurementEngine, MeasurementNoise, MeasurementSpec
 from repro.core.params import FlashFlowParams
-from repro.kernel import compile_measurement, execute_batch, execute_compiled, is_compilable
+from repro.kernel import compile_measurement, execute_batch, is_compilable
 from repro.netsim.latency import NetworkModel
 from repro.rng import fork
 from repro.tornet.relay import Relay, RelayBehavior
@@ -80,7 +80,7 @@ def test_compiled_outcome_matches_stateful_engine_bitwise(team):
         reference = MeasurementEngine().run(spec_ref)
         cm = compile_measurement(MeasurementEngine(), spec_kernel)
         assert cm is not None
-        outcome = execute_compiled(cm).to_outcome()
+        outcome = execute_batch([cm])[0].to_outcome()
         assert outcome.estimate == reference.estimate
         assert outcome.per_second_measurement == reference.per_second_measurement
         assert (
@@ -112,7 +112,7 @@ def test_compiled_capacity_series_matches_measured_second_oracle(team):
         engine = MeasurementEngine()
         cm = compile_measurement(engine, spec_kernel)
         supply = cm.supply_series()
-        result = execute_compiled(cm)
+        result = execute_batch([cm])[0]
 
         plan_inputs = engine.prepare_inputs(spec_ref)
         oracle = spec_ref.target
@@ -141,7 +141,7 @@ def test_compiled_relay_state_matches_stateful_engine(team):
         MeasurementEngine().run(spec_ref)
         engine = MeasurementEngine()
         cm = compile_measurement(engine, spec_kernel)
-        result = execute_compiled(cm)
+        result = execute_batch([cm])[0]
         spec_kernel.target.settle_measured_walk(
             result.total_bytes.tolist(), result.final_bucket_tokens
         )
@@ -180,7 +180,7 @@ def test_execute_batch_equals_execute_compiled(team):
         for i, s in enumerate(specs_b)
     ]
     batched = execute_batch(cms_a)
-    singles = [execute_compiled(cm) for cm in cms_b]
+    singles = [execute_batch([cm])[0] for cm in cms_b]
     for one, many in zip(singles, batched):
         assert one.estimate == many.estimate
         assert np.array_equal(one.totals, many.totals)
@@ -211,7 +211,7 @@ def test_compiled_with_network_model_matches_engine(team):
     cm = compile_measurement(
         MeasurementEngine(network=model_b), spec_for(model_b)
     )
-    outcome = execute_compiled(cm).to_outcome()
+    outcome = execute_batch([cm])[0].to_outcome()
     assert outcome.estimate == reference.estimate
     assert outcome.per_second_total == reference.per_second_total
 
@@ -228,7 +228,7 @@ def test_admission_refusal_compiles_to_failed_outcome(team):
     )
     cm = compile_measurement(MeasurementEngine(), spec)
     assert cm.outcome is not None and cm.outcome.failed
-    result = execute_compiled(cm)
+    result = execute_batch([cm])[0]
     assert result.to_outcome().failed
     assert result.total_bytes.size == 0
 
@@ -296,7 +296,7 @@ def test_run_many_mixed_honest_and_adversarial_matches_stateful(team):
         return specs
 
     stateful = [MeasurementEngine().run(s) for s in build("a")]
-    kernel = MeasurementEngine().run_many(build("b"), backend="vector")
+    kernel = MeasurementEngine().run_many(build("b"))
     assert [o.estimate for o in kernel] == [o.estimate for o in stateful]
     assert [o.per_second_total for o in kernel] \
         == [o.per_second_total for o in stateful]

@@ -8,18 +8,10 @@ untouched (zero spans recorded anywhere).
 
 from __future__ import annotations
 
-import types
-
-import pytest
-
 from repro.api import Campaign, ExecutionConfig, NetworkSpec, Scenario
 from repro.obs import (
     NULL_TRACER,
-    DegradationWarning,
-    get_registry,
     get_tracer,
-    reset_registry,
-    reset_warnings,
     validate_trace,
 )
 
@@ -33,7 +25,7 @@ def _scenario():
 
 
 def _execution(**kw):
-    return ExecutionConfig(backend="vector", full_simulation=False, **kw)
+    return ExecutionConfig(full_simulation=False, **kw)
 
 
 def _measurement_rows(report):
@@ -103,37 +95,6 @@ def test_untraced_campaign_records_zero_spans():
     assert NULL_TRACER.spans == ()
 
 
-def test_shm_fallback_counts_and_warns_once(monkeypatch):
-    from repro.kernel import shm as shm_mod
-
-    reset_registry()
-    reset_warnings()
-
-    def broken(*args, **kwargs):
-        raise OSError("no /dev/shm left")
-
-    monkeypatch.setattr(shm_mod.shared_memory, "SharedMemory", broken)
-    chunk = [types.SimpleNamespace(duration=4, rng_state=None)]
-
-    with pytest.warns(DegradationWarning, match="shared memory"):
-        assert shm_mod.pack_chunk(chunk) == (None, None)
-    assert get_registry().counter("kernel.shm.fallbacks").value == 1
-
-    # Second fallback: counted again, but the warning stays one-shot.
-    with pytest.warns(DegradationWarning) as caught:
-        import warnings as _w
-
-        with _w.catch_warnings():
-            _w.simplefilter("error")
-            assert shm_mod.pack_chunk(chunk) == (None, None)
-        _w.warn("sentinel", DegradationWarning)
-    assert [str(w.message) for w in caught.list] == ["sentinel"]
-    assert get_registry().counter("kernel.shm.fallbacks").value == 2
-
-    reset_registry()
-    reset_warnings()
-
-
 def test_cli_trace_flag_end_to_end(tmp_path, capsys):
     from repro.api.__main__ import main
 
@@ -142,8 +103,6 @@ def test_cli_trace_flag_end_to_end(tmp_path, capsys):
         [
             "fig06-accuracy",
             "--quiet",
-            "--backend",
-            "vector",
             "--trace",
             str(path),
             "--metrics",

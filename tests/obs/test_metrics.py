@@ -1,28 +1,17 @@
-"""Metrics registry unit tests: instruments, snapshots, one-shot warnings."""
+"""Metrics registry unit tests: instruments and snapshots."""
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
-from repro.obs import (
-    DegradationWarning,
-    MetricsRegistry,
-    get_registry,
-    reset_registry,
-    reset_warnings,
-    warn_once,
-)
+from repro.obs import MetricsRegistry, get_registry, reset_registry
 
 
 @pytest.fixture(autouse=True)
 def _isolate_global_state():
     reset_registry()
-    reset_warnings()
     yield
     reset_registry()
-    reset_warnings()
 
 
 def test_counter_increments():
@@ -62,13 +51,13 @@ def test_empty_histogram_mean_is_zero():
 
 def test_snapshot_shape():
     registry = MetricsRegistry()
-    registry.counter("kernel.shm.fallbacks").inc(2)
-    registry.gauge("kernel.stream.in_flight").set(3)
+    registry.counter("kernel.specs.fallback").inc(2)
+    registry.gauge("service.relays").set(3)
     registry.histogram("round.wall_seconds").observe(0.25)
     snap = registry.snapshot()
-    assert snap["counters"] == {"kernel.shm.fallbacks": 2}
+    assert snap["counters"] == {"kernel.specs.fallback": 2}
     assert snap["gauges"] == {
-        "kernel.stream.in_flight": {"value": 3, "max": 3}
+        "service.relays": {"value": 3, "max": 3}
     }
     assert snap["histograms"]["round.wall_seconds"] == {
         "count": 1,
@@ -105,30 +94,3 @@ def test_global_registry_is_a_singleton():
     assert get_registry().counter("test.probe").value == 1
     reset_registry()
     assert get_registry().counter("test.probe").value == 0
-
-
-def test_warn_once_fires_exactly_once_per_key():
-    with pytest.warns(DegradationWarning, match="shm gone"):
-        assert warn_once("k1", "shm gone") is True
-    # Second call for the same key: silent, returns False.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert warn_once("k1", "shm gone") is False
-    # A different key still fires.
-    with pytest.warns(DegradationWarning):
-        assert warn_once("k2", "pool rebuilt") is True
-
-
-def test_reset_warnings_rearms_the_one_shot():
-    with pytest.warns(DegradationWarning):
-        warn_once("k", "msg")
-    reset_warnings()
-    with pytest.warns(DegradationWarning):
-        assert warn_once("k", "msg") is True
-
-
-def test_degradation_warning_is_a_runtime_warning():
-    # RuntimeWarning, not DeprecationWarning: pytest's filterwarnings
-    # must never turn an environmental degradation into a test failure.
-    assert issubclass(DegradationWarning, RuntimeWarning)
-    assert not issubclass(DegradationWarning, DeprecationWarning)

@@ -8,6 +8,8 @@ remaining period, and journaling itself must not perturb results.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.api.execution import ExecutionConfig
@@ -128,3 +130,25 @@ def test_double_resume_chains(tmp_path, reference):
     }
     records = read_journal(journal_path)
     assert sum(1 for r in records if r["type"] == "resumed") == 2
+
+
+def test_snapshot_with_retired_execution_key_is_a_configuration_error(
+    tmp_path,
+):
+    """A journal written by an older version carries execution knobs that
+    no longer exist; resuming it names them instead of a raw TypeError."""
+    journal_path = tmp_path / "svc.jsonl"
+    run_daemon(config(), journal_path=journal_path, until_period=1)
+    lines = journal_path.read_text().splitlines()
+    for i, line in enumerate(lines):
+        record = json.loads(line)
+        if record.get("type") == "snapshot":
+            record["config"]["execution"]["pipeline"] = None
+            lines[i] = json.dumps(record)
+    journal_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigurationError, match="pipeline"):
+        BwauthDaemon.resume(journal_path)
+    with pytest.raises(ConfigurationError, match="pipeline"):
+        ServiceConfig.from_dict(
+            {**config().to_dict(), "execution": {"pipeline": None}}
+        )

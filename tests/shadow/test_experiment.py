@@ -6,9 +6,11 @@ FlashFlow weights dominates TorFlow's on every Figure 9 metric.
 """
 
 import statistics
+from unittest import mock
 
 import pytest
 
+from repro.core.engine import MeasurementEngine
 from repro.shadow.config import ShadowConfig, build_network
 from repro.shadow.experiment import (
     compare_systems,
@@ -181,22 +183,23 @@ def test_flashflow_pipeline_standalone():
 # Kernel routing: the measurement phase runs on the vectorized kernel
 # ---------------------------------------------------------------------------
 
-def test_flashflow_weights_identical_across_kernel_backends():
-    """The shadow measurement phase is backend-invariant, bit for bit."""
+def test_flashflow_weights_match_stateful_engine():
+    """The shadow measurement phase's kernel rounds are the stateful
+    engine's bits: the same weights come out with every batch run one
+    ``MeasurementEngine.run`` per spec."""
     config = ShadowConfig(
         n_relays=24, n_markov_clients=10, n_benchmark_clients=2,
         sim_seconds=30, warmup_seconds=10, seed=5,
     )
-    # A fresh network per backend: relays are stateful (jitter RNG
+    # A fresh network per run: relays are stateful (jitter RNG
     # streams, admission, token buckets), so re-measuring the same
     # objects would legitimately differ.
-    weights = {
-        backend: flashflow_weights_for(
-            build_network(config), seed=5, backend=backend
-        )
-        for backend in ("vector", "serial", "thread", "process")
-    }
-    reference = weights["vector"]
+    weights = flashflow_weights_for(build_network(config), seed=5)
+    with mock.patch.object(
+        MeasurementEngine,
+        "run_many",
+        lambda engine, specs: [engine.run(spec) for spec in specs],
+    ):
+        reference = flashflow_weights_for(build_network(config), seed=5)
     assert len(reference) == 24
-    for backend, estimate_map in weights.items():
-        assert estimate_map == reference, backend
+    assert weights == reference
