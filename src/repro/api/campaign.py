@@ -3,8 +3,10 @@
 This module owns the canonical FlashFlow campaign loop (formerly the
 body of :func:`repro.core.netmeasure.measure_network`, which is now a
 thin shim over it). Each campaign *round* packs every
-waiting relay into consecutive t-second slots greedily (largest first,
-the paper's efficiency scheduler); the round's measurements execute
+waiting relay into consecutive t-second slots first fit, in queue order
+(old relays largest prior first, then new relays), through the packer
+:func:`repro.core.schedule.first_fit_slots` that the §7 efficiency
+scheduler also uses; the round's measurements execute
 as one batch through :class:`repro.core.engine.MeasurementEngine.\
 run_many`, which lowers them onto the vectorized kernel
 (:mod:`repro.kernel`), while ``full_simulation=False`` rounds run
@@ -27,7 +29,6 @@ rounds streamed through the same event surface.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -56,6 +57,7 @@ from repro.core.netmeasure import (
     CampaignResult,
     normalize_background_demand,
 )
+from repro.core.schedule import first_fit_slots
 from repro.kernel.analytic import run_analytic_round
 from repro.obs import (
     JsonlTraceWriter,
@@ -129,13 +131,9 @@ def run_period_rounds(
     # Old relays first (guaranteed measurement), then new FCFS; within
     # each class, largest guess first to pack slots tightly.
     old.sort(key=lambda fp: priors[fp], reverse=True)
-    queue: deque[tuple[str, float, int]] = deque(
-        [(fp, priors[fp], 0) for fp in old]
-        + [(fp, params.new_relay_seed, 0) for fp in new]
-    )
-
-    def required_for(z0: float) -> float:
-        return min(params.allocation_factor * max(z0, 1.0), team_capacity)
+    queue: list[tuple[str, float, int]] = [
+        (fp, priors[fp], 0) for fp in old
+    ] + [(fp, params.new_relay_seed, 0) for fp in new]
 
     slot_index = 0
     round_index = 0
@@ -147,29 +145,17 @@ def run_period_rounds(
             # --- Pack the whole waiting queue into consecutive slots --
             # Every queued relay is independent of the others' outcomes,
             # so a round's slots can all be planned up front and run as
-            # one batch.
+            # one batch. First fit in queue order, one slot after another.
             with tracer.span("round.pack"):
                 first_slot = slot_index
+                required = [
+                    min(params.allocation_factor * max(z0, 1.0), team_capacity)
+                    for _, z0, _ in queue
+                ]
                 jobs: list[_Job] = []
-                waiting = queue
-                while waiting:
-                    residual = team_capacity
-                    this_slot: list[tuple[str, float, int]] = []
-                    deferred: deque[tuple[str, float, int]] = deque()
-                    while waiting:
-                        fp, z0, rounds = waiting.popleft()
-                        if required_for(z0) <= residual + 1e-6:
-                            this_slot.append((fp, z0, rounds))
-                            residual -= required_for(z0)
-                        else:
-                            deferred.append((fp, z0, rounds))
-                    if not this_slot:
-                        # Should be unreachable: required is capped at
-                        # team capacity.
-                        this_slot.append(deferred.popleft())
-
-                    for fp, z0, rounds in this_slot:
-                        required = required_for(z0)
+                for slot in first_fit_slots(required, team_capacity):
+                    for position in slot:
+                        fp, z0, rounds = queue[position]
                         jobs.append(
                             _Job(
                                 fingerprint=fp,
@@ -178,11 +164,11 @@ def run_period_rounds(
                                 slot_index=slot_index,
                                 relay=network[fp],
                                 capped=(
-                                    required
+                                    required[position]
                                     < params.allocation_factor * z0
                                 ),
                                 assignments=allocate_capacity(
-                                    team, required
+                                    team, required[position]
                                 ),
                                 background=background_for(fp),
                                 wobble=(
@@ -199,7 +185,6 @@ def run_period_rounds(
                             )
                         )
                     slot_index += 1
-                    waiting = deferred
 
             round_span.set(
                 n_jobs=len(jobs), slots_packed=slot_index - first_slot
@@ -253,7 +238,7 @@ def run_period_rounds(
                     first_slot=first_slot,
                     slots_packed=slot_index - first_slot,
                 )
-                retries: deque[tuple[str, float, int]] = deque()
+                retries: list[tuple[str, float, int]] = []
                 for i, (job, (z, failed, reason, cells_checked)) in enumerate(
                     zip(jobs, results)
                 ):

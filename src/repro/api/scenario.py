@@ -20,6 +20,8 @@ each :class:`repro.api.campaign.Campaign` run resolves afresh.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -286,6 +288,32 @@ class ResolvedScenario:
     adversaries: dict[str, str] = field(default_factory=dict)
 
 
+def _validate_priors(priors: dict[str, float]) -> None:
+    """Reject prior estimates no relay can be scheduled from.
+
+    A non-finite or negative prior would otherwise pass here and fail
+    deep in the campaign (NaN allocates no capacity; a negative prior
+    retries until ``max_rounds``). Zero stays legal: deployments carry
+    accepted 0.0 estimates.
+    """
+    try:
+        items = dict(priors).items()
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"priors must be a dict, None, or one of {PRIOR_POLICIES}"
+        ) from None
+    for fingerprint, value in items:
+        if not isinstance(value, numbers.Real):
+            raise ConfigurationError(
+                f"prior for {fingerprint} must be a number, got {value!r}"
+            )
+        if not math.isfinite(value) or value < 0:
+            raise ConfigurationError(
+                f"prior for {fingerprint} must be finite and >= 0, "
+                f"got {value!r}"
+            )
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A complete, validated description of one FlashFlow workload."""
@@ -347,6 +375,8 @@ class Scenario:
             raise ConfigurationError(
                 f"priors must be a dict, None, or one of {PRIOR_POLICIES}"
             )
+        if self.priors is not None and not isinstance(self.priors, str):
+            _validate_priors(self.priors)
         if self.adversaries is not None and not isinstance(
             self.network, NetworkSpec
         ):

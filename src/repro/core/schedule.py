@@ -14,14 +14,17 @@ both selective-capacity relays and targeted denial-of-service (§5).
 
 :func:`greedy_pack_slots` implements the §7 efficiency scheduler: pack
 relays largest-first into consecutive slots to find the *fastest* the
-network can be measured.
+network can be measured. It and the campaign loop
+(:func:`repro.api.campaign.run_period_rounds`) share one packer,
+:func:`first_fit_slots`.
 """
 
 from __future__ import annotations
 
-import bisect
+import math
 import random
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -231,6 +234,84 @@ class PeriodSchedule:
         return out
 
 
+def first_fit_slots(
+    required: Sequence[float], team_capacity: float
+) -> list[list[int]]:
+    """Pack a queue of items into consecutive slots, first fit.
+
+    Each slot starts with ``team_capacity`` of residual and repeatedly
+    takes the leftmost waiting item with ``required <= residual + 1e-6``,
+    subtracting its requirement, until no waiting item fits; the next
+    slot then starts over on the items left. Returns the slots in order,
+    each a list of positions into ``required`` in the order taken.
+
+    Within a slot the residual only falls, so an item a slot skipped can
+    never fit later in the same slot: the leftmost fitting item is
+    exactly the one a linear rescan of the waiting queue would take
+    next, and the slots, their order and the float sequence of
+    ``residual -= required`` are those of the rescan. A min segment tree
+    over queue positions finds that item in O(log n), so a queue of n
+    items packs in O(n log n) instead of O(n x slots).
+
+    Raises :class:`ScheduleError` on a non-finite requirement or team
+    capacity, and when an item needs more than a whole empty slot.
+    """
+    if not (math.isfinite(team_capacity) and team_capacity > 0):
+        raise ScheduleError(
+            f"team capacity must be positive and finite, got {team_capacity!r}"
+        )
+    values = [float(r) for r in required]
+    for position, value in enumerate(values):
+        if not math.isfinite(value):
+            raise ScheduleError(
+                f"item {position} has non-finite required capacity {value!r}"
+            )
+    n = len(values)
+    size = 1
+    while size < n:
+        size *= 2
+    # tree[size + i] holds item i's requirement (inf once packed or for
+    # padding); every inner node holds the minimum of its two children.
+    tree = [math.inf] * (2 * size)
+    tree[size:size + n] = values
+    for node in range(size - 1, 0, -1):
+        tree[node] = min(tree[2 * node], tree[2 * node + 1])
+
+    slots: list[list[int]] = []
+    remaining = n
+    while remaining:
+        residual = team_capacity
+        slot: list[int] = []
+        while True:
+            limit = residual + 1e-6
+            if not tree[1] <= limit:
+                break
+            # Descend to the leftmost leaf whose requirement fits.
+            node = 1
+            while node < size:
+                node *= 2
+                if not tree[node] <= limit:
+                    node += 1
+            position = node - size
+            slot.append(position)
+            residual -= values[position]
+            tree[node] = math.inf
+            node //= 2
+            while node:
+                smallest = min(tree[2 * node], tree[2 * node + 1])
+                if tree[node] == smallest:
+                    break
+                tree[node] = smallest
+                node //= 2
+        if not slot:
+            raise ScheduleError(
+                "an item requires more than the whole team capacity"
+            )
+        slots.append(slot)
+        remaining -= len(slot)
+    return slots
+
+
 def greedy_pack_slots(
     estimates: dict[str, float],
     params: FlashFlowParams,
@@ -242,37 +323,18 @@ def greedy_pack_slots(
     choosing the largest relay for which there is available capacity to
     measure." Returns the list of slots, each a list of fingerprints.
 
-    Implemented with a bisect on the (sorted) requirement list rather
-    than a full rescan of the remaining relays per slot: "largest relay
-    that still fits" is the rightmost entry at or below the residual.
-    This packs the July-2019-scale networks of the §7 efficiency benches
-    in milliseconds while producing exactly the slots the linear rescan
-    would (same greedy order, same float arithmetic).
+    Requirements ``min(f * z0, team capacity)`` never increase along the
+    descending-estimate order, so "the largest relay that still fits" is
+    the first fitting relay in that order: :func:`first_fit_slots` over
+    the descending order (ties keep their input order) is exactly this
+    greedy scheduler.
     """
-    # Ascending by requirement; ties keep the descending-capacity scan
-    # order of the original linear pass (stable sort + reversal).
-    asc = sorted(estimates, key=lambda fp: estimates[fp], reverse=True)[::-1]
-    required = {
-        fp: min(params.allocation_factor * max(estimates[fp], 1.0),
-                team_capacity)
-        for fp in estimates
-    }
-    keys = [required[fp] for fp in asc]
-    slots: list[list[str]] = []
-    while asc:
-        residual = team_capacity
-        slot: list[str] = []
-        while True:
-            index = bisect.bisect_right(keys, residual + 1e-6) - 1
-            if index < 0:
-                break
-            fp = asc.pop(index)
-            keys.pop(index)
-            slot.append(fp)
-            residual -= required[fp]
-        if not slot:
-            raise ScheduleError(
-                "a relay requires more than the whole team capacity"
-            )
-        slots.append(slot)
-    return slots
+    order = sorted(estimates, key=lambda fp: estimates[fp], reverse=True)
+    required = [
+        min(params.allocation_factor * max(estimates[fp], 1.0), team_capacity)
+        for fp in order
+    ]
+    return [
+        [order[position] for position in slot]
+        for slot in first_fit_slots(required, team_capacity)
+    ]

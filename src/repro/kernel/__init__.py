@@ -126,14 +126,13 @@ def run_specs(engine, specs: Sequence):
     results = [None] * len(specs)
     fallback_indices: list[int] = []
 
-    # Bulk compile path: relay jitter for the whole round is pre-drawn
-    # column-wise up front, so the per-spec compile loop skips the
-    # stateful per-relay gauss draws (bit-identical rows, same stream
-    # positions -- see repro.tornet.columnar.noise_row).
-    predrawn = _predraw_noise(engine, specs) if specs else {}
-
     compiled: list[CompiledMeasurement] = []
     with tracer.span("round.compile", n_specs=len(specs)):
+        # Bulk compile path: relay jitter for the whole round is pre-drawn
+        # column-wise up front, so the per-spec compile loop skips the
+        # stateful per-relay gauss draws (bit-identical rows, same stream
+        # positions -- see repro.tornet.columnar.noise_row).
+        predrawn = _predraw_noise(engine, specs) if specs else {}
         for index, spec in enumerate(specs):
             cm = compile_measurement(
                 engine, spec, index=index,

@@ -125,11 +125,6 @@ class CompiledMeasurement:
     p_check: float | None
     #: Seed of the measurement's ``verify-*`` RNG stream.
     verify_seed: int
-    #: Seed of the ``verify-payload-*`` stream the sampled-cell payloads
-    #: are drawn from (the stateful verifier's ``payload_rng`` fork).
-    payload_seed: int
-    #: Shared circuit key bytes for the verification replay.
-    key_bytes: bytes | None
     #: Early result (admission refusal); skips execution entirely.
     outcome: MeasurementOutcome | None = None
     #: The behaviour's closed-form walk (honest defaults for honest
@@ -255,8 +250,6 @@ def compile_measurement(
             total_allocated=inputs.total_allocated,
             p_check=None,
             verify_seed=0,
-            payload_seed=0,
-            key_bytes=None,
             outcome=inputs.outcome,
         )
 
@@ -306,12 +299,7 @@ def compile_measurement(
     else:
         background = np.full(duration, float(bg), dtype=np.float64)
 
-    if spec.verify:
-        p_check: float | None = params.p_check
-        key_bytes = engine._verifier_key().key_bytes
-    else:
-        p_check = None
-        key_bytes = None
+    p_check = params.p_check if spec.verify else None
 
     # The behaviour's closed-form walk; fetched after prepare_inputs so
     # slot-constant decisions (begin_measurement's selective roll) have
@@ -342,10 +330,6 @@ def compile_measurement(
         total_allocated=inputs.total_allocated,
         p_check=p_check,
         verify_seed=seed_from(spec.seed, f"verify-{target.fingerprint}"),
-        payload_seed=seed_from(
-            spec.seed, f"verify-payload-{target.fingerprint}"
-        ),
-        key_bytes=key_bytes,
         program=program,
         behavior_rng_state=behavior_rng_state,
     )

@@ -21,13 +21,13 @@ exactly, selected per measurement with ``np.where``.
 Echo-cell verification is replayed afterwards from the walk's
 measurement series: the per-second sample counts consume the
 measurement's ``verify-*`` RNG stream exactly as
-:class:`repro.core.verification.EchoVerifier` would, and each sampled
-cell performs the honest encrypt/echo/compare round trip with the real
-circuit key, so ``cells_checked`` (and the simulated crypto work) match
-the stateful path. Honest relays by construction never fail the check;
-forging relays replay their forge decisions from the behaviour's
-compiled RNG state, and the first forged checked cell fails the
-measurement exactly as the stateful :class:`EchoVerifier` would
+:class:`repro.core.verification.EchoVerifier` would, so
+``cells_checked`` matches the stateful path. An honest relay's echo is
+the decryption of the cell it received, so its checked cells always
+pass and the replay only counts them; no payload bytes are drawn or
+decrypted. Forging relays replay their forge decisions from the
+behaviour's compiled RNG state, and the first forged checked cell fails
+the measurement exactly as the stateful :class:`EchoVerifier` would
 (truncated series, zero estimate, the same failure message).
 
 The walk returns, besides the outcome, the relay-state deltas (final
@@ -49,25 +49,8 @@ from repro.core.engine import MeasurementOutcome
 from repro.core.verification import sample_cell_count
 from repro.kernel.compile import CompiledMeasurement
 from repro.tornet.cell import PAYLOAD_LEN
-from repro.tornet.relaycrypto import CircuitKey
 from repro.tornet.tokenbucket import available_second_array, take_second_array
 from repro.units import CELL_LEN, bits_to_bytes
-
-#: One CircuitKey per distinct key bytes per process: keeps the keystream
-#: block cache warm across measurements (cell indices restart at zero
-#: every slot, so later slots verify almost entirely from cache).
-_KEY_CACHE: dict[bytes, CircuitKey] = {}
-
-
-def _circuit_key(key_bytes: bytes) -> CircuitKey:
-    key = _KEY_CACHE.get(key_bytes)
-    if key is None:
-        key = CircuitKey(key_bytes)
-        if len(_KEY_CACHE) > 64:
-            _KEY_CACHE.clear()
-        _KEY_CACHE[key_bytes] = key
-    return key
-
 
 _EMPTY = np.zeros(0)
 
@@ -142,19 +125,17 @@ class _ReplayResult:
 
 
 def _verify_replay(
-    cm: CompiledMeasurement, measurement_bits: Sequence[float]
+    cm: CompiledMeasurement, measurement_bits: np.ndarray
 ) -> _ReplayResult:
     """Replay per-second echo-cell verification.
 
     Consumes the ``verify-*`` stream exactly like
     ``EchoVerifier.verify_second`` + ``check_cells``: one sample-count
-    draw sequence per second, then the relay-side decryption per sampled
-    cell, whose payload comes from the measurement's dedicated
-    ``verify-payload-*`` stream (the same bytes, in the same order, the
-    stateful verifier's ``payload_rng`` draws -- never ambient entropy). An honest relay's echo is *defined* as the local decryption,
-    so the measurer-side comparison would compare the decryption against
-    itself; the replay performs the decryption work once and counts the
-    cell as checked -- same cells checked, no possible failure.
+    draw sequence per second. An honest relay's echo is *defined* as the
+    local decryption of the cell it received, so every sampled cell
+    passes the measurer's comparison whatever its payload: the replay
+    counts the sampled cells as checked -- the same count as the
+    stateful verifier, no possible failure -- without drawing payloads.
 
     Forging behaviours draw their per-cell forge decision from the
     behaviour RNG state compiled into the measurement, in the stateful
@@ -168,27 +149,22 @@ def _verify_replay(
     if cm.p_check is None:
         return _ReplayResult()
     rng = random.Random(cm.verify_seed)
-    payload_rng = random.Random(cm.payload_seed)
-    key = _circuit_key(cm.key_bytes)
     forge_fraction = cm.program.forge_fraction
     behavior_rng: random.Random | None = None
     if forge_fraction is not None and cm.behavior_rng_state is not None:
         behavior_rng = random.Random()
         behavior_rng.setstate(cm.behavior_rng_state)
     cells_checked = 0
-    next_cell_index = 0
-    for second, x_bits in enumerate(list(measurement_bits)):
+    for second, x_bits in enumerate(measurement_bits.tolist()):
         cells_sent = int(bits_to_bytes(x_bits) // CELL_LEN)
         count = sample_cell_count(rng, cells_sent, cm.p_check)
+        if behavior_rng is None:
+            cells_checked += count
+            continue
         for _ in range(count):
-            index = next_cell_index
-            next_cell_index += 1
-            key.process(payload_rng.randbytes(PAYLOAD_LEN), index)
+            index = cells_checked
             cells_checked += 1
-            if (
-                behavior_rng is not None
-                and behavior_rng.random() < forge_fraction
-            ):
+            if behavior_rng.random() < forge_fraction:
                 behavior_rng.randbytes(PAYLOAD_LEN)
                 return _ReplayResult(
                     cells_checked=cells_checked,

@@ -16,6 +16,7 @@ mean, so memory stays O(window + days) regardless of run length.
 from __future__ import annotations
 
 from collections import deque
+from typing import Iterable
 
 from repro.units import DAY
 
@@ -31,6 +32,8 @@ class ObservedBandwidth:
     Two recording granularities are supported:
 
     - :meth:`record_second` -- per-second byte counts, exact semantics;
+      :meth:`record_series` records a run of consecutive seconds with
+      the same result;
     - :meth:`record_span` -- a constant rate sustained over a span of
       seconds (used by coarse-grained simulations); any span of at least
       ``WINDOW_SECONDS`` contributes its rate directly.
@@ -78,6 +81,38 @@ class ObservedBandwidth:
         self._window_sum += bytes_forwarded
         if len(self._window) == WINDOW_SECONDS:
             self._note_window_mean(t, self._window_sum / WINDOW_SECONDS)
+
+    def record_series(self, values: Iterable[float]) -> None:
+        """Record consecutive seconds of forwarding, ending at ``now + len``.
+
+        The same state as ``record_second(v)`` for each value in turn:
+        the window sum keeps its subtract-then-add order, and the day
+        maxima see every full-window mean. Expiry runs once, at the last
+        second that noted a mean: days only grow, so an earlier expiry
+        could only have removed days that this one removes too, and no
+        expired day is ever written again.
+        """
+        window = self._window
+        window_sum = self._window_sum
+        day_max = self._day_max
+        t = self._now
+        noted = None
+        for value in values:
+            t += 1
+            if len(window) == WINDOW_SECONDS:
+                window_sum -= window[0]
+            window.append(value)
+            window_sum += value
+            if len(window) == WINDOW_SECONDS:
+                mean_rate = window_sum / WINDOW_SECONDS
+                day = t // DAY
+                if mean_rate > day_max.get(day, 0.0):
+                    day_max[day] = mean_rate
+                noted = t
+        self._window_sum = window_sum
+        self._now = t
+        if noted is not None:
+            self._expire(noted)
 
     def record_span(self, rate_bytes_per_sec: float, start: int,
                     duration: int) -> None:

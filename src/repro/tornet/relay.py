@@ -348,15 +348,14 @@ class Relay:
     ) -> None:
         """Apply the state effects of an externally executed walk.
 
-        The kernel runs the per-second measurement walk outside the relay
-        (possibly in another process); this settles the side effects the
+        The kernel runs the per-second measurement walk outside the relay;
+        this settles the side effects the
         stateful walk would have had: observed-bandwidth history and the
         token bucket's final fill level.
         """
         if self._bucket is not None and final_bucket_tokens is not None:
             self._bucket.tokens = final_bucket_tokens
-        for forwarded in total_bytes_per_second:
-            self.observed_bw.record_second(forwarded)
+        self.observed_bw.record_series(total_bytes_per_second)
 
     # ------------------------------------------------------------------
     # Measurement admission (paper §4.1)

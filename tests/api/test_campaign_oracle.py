@@ -7,7 +7,9 @@ path (``MeasurementEngine.run`` / ``analytic_estimate``, one job at a
 time). Registered scenarios resolved deterministically must produce the
 *exact* same estimates through ``Campaign.run()`` -- the vectorized
 kernel -- as that historical loop produces on freshly resolved,
-identical inputs.
+identical inputs. Its packing step is the linear rescan of
+:func:`tests.packing_oracle.linear_rescan_slots`, which the production
+packer is also property-tested against.
 """
 
 from collections import deque
@@ -26,6 +28,7 @@ from repro.core.allocation import allocate_capacity, total_allocated
 from repro.core.engine import MeasurementEngine, MeasurementSpec
 from repro.core.netmeasure import CampaignResult
 from repro.rng import fork
+from tests.packing_oracle import linear_rescan_slots
 
 
 def _reference_measure_network(
@@ -61,21 +64,13 @@ def _reference_measure_network(
     slot_index = 0
     while queue:
         jobs = []
-        waiting = queue
-        while waiting:
-            residual = team_capacity
-            this_slot = []
-            deferred = deque()
-            while waiting:
-                fp, z0, rounds = waiting.popleft()
-                if required_for(z0) <= residual + 1e-6:
-                    this_slot.append((fp, z0, rounds))
-                    residual -= required_for(z0)
-                else:
-                    deferred.append((fp, z0, rounds))
-            if not this_slot:
-                this_slot.append(deferred.popleft())
-            for fp, z0, rounds in this_slot:
+        waiting = list(queue)
+        slots = linear_rescan_slots(
+            [required_for(z0) for _, z0, _ in waiting], team_capacity
+        )
+        for this_slot in slots:
+            for position in this_slot:
+                fp, z0, rounds = waiting[position]
                 required = required_for(z0)
                 jobs.append(
                     (
@@ -98,7 +93,6 @@ def _reference_measure_network(
                     )
                 )
             slot_index += 1
-            waiting = deferred
 
         if full_simulation:
             specs = [

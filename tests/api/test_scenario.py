@@ -48,6 +48,28 @@ def test_scenario_rejects_bad_fields(kwargs):
         Scenario(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), float("-inf"), -1.0, "1e6", None]
+)
+def test_scenario_rejects_hostile_priors_naming_the_relay(value):
+    """Unschedulable priors fail at construction, not deep in the kernel."""
+    with pytest.raises(ConfigurationError, match="prior for relay-7"):
+        Scenario(priors={"relay-0": mbit(5), "relay-7": value})
+
+
+def test_scenario_rejects_non_mapping_priors():
+    with pytest.raises(ConfigurationError, match="priors must be a dict"):
+        Scenario(priors=5)
+
+
+def test_scenario_accepts_zero_prior():
+    """Deployments carry accepted 0.0 estimates forward as priors."""
+    network = TorNetwork()
+    network.add(Relay.with_capacity("r", mbit(10), seed=0))
+    scenario = Scenario(network=network, priors={"r": 0.0})
+    assert scenario.resolve().priors == {"r": 0.0}
+
+
 def test_scenario_rejects_params_with_existing_authority():
     with pytest.raises(ConfigurationError):
         Scenario(team=quick_team(seed=0), params=FlashFlowParams())

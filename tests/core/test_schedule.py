@@ -1,14 +1,21 @@
 """Tests for measurement scheduling (paper §4.3)."""
 
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.params import FlashFlowParams
-from repro.core.schedule import PeriodSchedule, greedy_pack_slots
+from repro.core.schedule import (
+    PeriodSchedule,
+    first_fit_slots,
+    greedy_pack_slots,
+)
 from repro.errors import ScheduleError
 from repro.tornet.authority import SharedRandomness
 from repro.units import gbit, mbit
+from tests.packing_oracle import bisect_greedy_pack_slots, linear_rescan_slots
 
 
 @pytest.fixture
@@ -159,6 +166,105 @@ def test_greedy_pack_properties(n, seed):
             for f in slot
         )
         assert load <= gbit(3) + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# The shared first-fit packer against the historical reference packers
+# ---------------------------------------------------------------------------
+
+#: Shifts around an exact complement: at 3 Gbit/s one float step is
+#: ~4.8e-7, so these land on both sides of the ``residual + 1e-6`` test.
+_NEAR_RESIDUAL = [-2e-6, -1e-6, -5e-7, 0.0, 5e-7, 1e-6, 2e-6]
+
+
+@st.composite
+def _packing_queues(draw):
+    """A waiting queue of requirements and the team capacity it packs into.
+
+    Draws ties (a small pool of repeated values), items equal to the
+    whole team capacity, items within 1e-6 of the residual a pool item
+    leaves, and either retry-style unsorted order or the campaign's
+    first-round shape (descending priors, then constant new-relay seeds).
+    """
+    capacity = draw(
+        st.sampled_from([1.0, 7.5, gbit(3), 2.996e9])
+        | st.floats(min_value=1e-3, max_value=1e10)
+    )
+    pool = draw(
+        st.lists(st.floats(min_value=0.0, max_value=capacity),
+                 min_size=1, max_size=4)
+    )
+    near_residual = st.builds(
+        lambda taken, shift: min(capacity, max(0.0, capacity - taken + shift)),
+        st.sampled_from(pool),
+        st.sampled_from(_NEAR_RESIDUAL),
+    )
+    item = st.one_of(
+        st.floats(min_value=0.0, max_value=capacity),
+        st.sampled_from(pool),
+        st.just(capacity),
+        near_residual,
+    )
+    required = draw(st.lists(item, max_size=60))
+    if draw(st.booleans()):
+        split = draw(st.integers(min_value=0, max_value=len(required)))
+        required = sorted(required[:split], reverse=True) + (
+            [pool[0]] * (len(required) - split)
+        )
+    return required, capacity
+
+
+@given(queue=_packing_queues())
+@example(queue=([], gbit(3)))
+@example(queue=([gbit(3)], gbit(3)))
+@example(queue=([mbit(10)], gbit(3)))
+@example(queue=([2.0, 1.0 + 1e-6, 1.0 + 2e-6, 3.0, 3.0], 3.0))
+@settings(max_examples=300, deadline=None)
+def test_first_fit_matches_linear_rescan(queue):
+    """Same slots, same order within each slot, as the linear rescan.
+
+    Equal positions in equal order mean the two packers also run the
+    same float sequence of ``residual -= required``.
+    """
+    required, capacity = queue
+    assert first_fit_slots(required, capacity) == linear_rescan_slots(
+        required, capacity
+    )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_first_fit_rejects_non_finite_requirement(bad):
+    with pytest.raises(ScheduleError, match="item 1 has non-finite"):
+        first_fit_slots([1.0, bad, 2.0], 3.0)
+
+
+@pytest.mark.parametrize("capacity", [0.0, -1.0, math.nan, math.inf])
+def test_first_fit_rejects_bad_team_capacity(capacity):
+    with pytest.raises(ScheduleError, match="team capacity"):
+        first_fit_slots([1.0], capacity)
+
+
+def test_first_fit_rejects_item_larger_than_a_slot():
+    with pytest.raises(ScheduleError, match="more than the whole team"):
+        first_fit_slots([1.0, 5.0], 3.0)
+
+
+@given(
+    estimates=st.dictionaries(
+        st.text(alphabet="abcdefgh", min_size=1, max_size=4),
+        st.sampled_from([0.0, 0.5, 1.0, mbit(10), mbit(500), gbit(2)])
+        | st.floats(min_value=0.0, max_value=gbit(2)),
+        max_size=60,
+    ),
+    capacity=st.sampled_from([gbit(1), gbit(3)]),
+)
+@settings(max_examples=200, deadline=None)
+def test_greedy_pack_matches_bisect_reference(estimates, capacity):
+    """Ties, sub-1 estimates and capped relays pack as the bisect did."""
+    params = FlashFlowParams()
+    assert greedy_pack_slots(
+        estimates, params, capacity
+    ) == bisect_greedy_pack_slots(estimates, params, capacity)
 
 
 # ---------------------------------------------------------------------------

@@ -320,36 +320,6 @@ def test_supply_noise_resumes_the_measurement_stream(team):
     assert float(noise[0, 0]) >= 0.3
 
 
-def test_verify_payload_stream_matches_stateful_verifier(team):
-    """The compiled ``payload_seed`` is the ``verify-payload-*`` fork.
-
-    The stateful engine hands its EchoVerifier a dedicated
-    ``fork(seed, "verify-payload-<fp>")`` stream for sampled-cell
-    payloads; the kernel replay must reconstruct byte-for-byte the same
-    stream from ``cm.payload_seed`` -- never ambient entropy, and never
-    the ``verify-*`` sample-count stream (whose draw positions are
-    load-bearing for cells_checked and forge-detection timing).
-    """
-    import random
-
-    from repro.tornet.cell import PAYLOAD_LEN
-
-    params = FlashFlowParams()
-    spec = _spec(_relay(21, 200), team, params, seed=91)
-    cm = compile_measurement(MeasurementEngine(), spec)
-    fingerprint = spec.target.fingerprint
-
-    stateful = fork(91, f"verify-payload-{fingerprint}")
-    replay = random.Random(cm.payload_seed)
-    assert [replay.randbytes(PAYLOAD_LEN) for _ in range(8)] \
-        == [stateful.randbytes(PAYLOAD_LEN) for _ in range(8)]
-
-    # Distinct stream: drawing payloads must not move verify-* positions.
-    verify = fork(91, f"verify-{fingerprint}")
-    assert random.Random(cm.verify_seed).random() == verify.random()
-    assert cm.payload_seed != cm.verify_seed
-
-
 def test_verification_outcome_invariant_to_payload_stream(team):
     """Honest echo verification is payload-content-independent.
 

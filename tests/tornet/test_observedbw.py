@@ -102,3 +102,60 @@ def test_constant_rate_observed_exactly(rate, duration):
     ob = ObservedBandwidth()
     ob.record_span(rate, start=0, duration=duration)
     assert ob.observed(t=duration) == pytest.approx(rate)
+
+
+_RATES = st.floats(min_value=0, max_value=1e9) | st.sampled_from(
+    [0.0, 1.0, 0.1, 1e9]
+)
+
+
+@st.composite
+def _observed_states(draw):
+    """An ObservedBandwidth mid-history, and the series to record next.
+
+    Day maxima are seeded on earlier days so that some are about to
+    expire past ``HISTORY_DAYS`` when the series crosses the next
+    ``DAY`` boundary; ``now`` sits just before that boundary; the window
+    starts empty, partial or full.
+    """
+    old_days = draw(
+        st.lists(st.integers(min_value=0, max_value=HISTORY_DAYS + 1),
+                 unique=True, max_size=4)
+    )
+    ob = ObservedBandwidth()
+    for day in sorted(old_days):
+        ob.record_span(draw(_RATES), start=day * DAY, duration=60)
+    boundary_day = draw(
+        st.integers(min_value=HISTORY_DAYS, max_value=2 * HISTORY_DAYS + 2)
+    )
+    before_boundary = draw(st.integers(min_value=1, max_value=3 * WINDOW_SECONDS))
+    start = max(ob.now + WINDOW_SECONDS, boundary_day * DAY - before_boundary)
+    prefill = draw(st.lists(_RATES, max_size=WINDOW_SECONDS + 3))
+    if not prefill:
+        # A long span ends at ``start`` and leaves the window empty.
+        ob.record_span(draw(_RATES), start=start - WINDOW_SECONDS,
+                       duration=WINDOW_SECONDS)
+    else:
+        ob.record_second(prefill[0], t=start)
+        for rate in prefill[1:]:
+            ob.record_second(rate)
+    series = draw(st.lists(_RATES, max_size=4 * WINDOW_SECONDS))
+    return ob, series
+
+
+@given(state=_observed_states())
+@settings(max_examples=200, deadline=None)
+def test_record_series_matches_record_second_loop(state):
+    """record_series leaves exactly the state per-second recording does."""
+    import copy
+
+    ob, series = state
+    expected = copy.deepcopy(ob)
+    for rate in series:
+        expected.record_second(rate)
+    ob.record_series(series)
+    assert list(ob._window) == list(expected._window)
+    assert ob._window_sum == expected._window_sum
+    assert ob._day_max == expected._day_max
+    assert ob._now == expected._now
+    assert ob.observed() == expected.observed()
